@@ -7,8 +7,10 @@ and ``bench`` times algorithms over a suite and cross-checks answers.
 
 Exit codes: 0 decided / stable / done, 1 verification failure or
 cross-algorithm disagreement, 2 input error, 3 budget or timeout.  The
-environment variable GASPLAB_BUDGET caps enumeration work everywhere a
-brute-force fallback runs.
+brute-force checkers cap their enumeration work at ``--budget N`` (an
+integer >= 1) if given, else at the GASPLAB_BUDGET environment variable,
+else at their default (2,000,000 matrices for the oracles, 10**7 steps for
+the subset-sum checkers).
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .model import (
     verify_sgasp,
 )
 from .oracle import oracle_gasp, oracle_ggasp, oracle_sgasp
-from .solver_gasp import solve_xp_gasp
-from .solvers_sgasp import solve_fpt_n, solve_fpt_ta, solve_xp_t
+from .solver_gasp import DEFAULT_TYPE_CAP, solve_xp_gasp
+from .solvers_sgasp import DEFAULT_AGENT_CAP, SolveResult, solve_fpt_n, solve_fpt_ta, solve_xp_t
 from .subsetsum import brute_mpss
 
 
@@ -74,49 +76,52 @@ class _Alarm:
         return False
 
 
-ALG_KINDS = {
-    "fpt-ta": {"sgasp"},
-    "xp-t": {"sgasp"},
-    "fpt-n": {"sgasp"},
-    "xp-gasp": {"gasp"},
-    "brute": {"sgasp", "gasp", "ggasp", "smpss", "pclique"},
+def _brute(inst, budget, **_):
+    kind = formats.instance_kind(inst)
+    if kind == "smpss":
+        res = brute_mpss(inst.family(), budget=budget)
+        hit = inst.target in res.targets
+        return SolveResult(hit, res.witness(inst.target) if hit else None)
+    if kind == "pclique":
+        combo = find_clique(inst)
+        return SolveResult(combo is not None, combo)
+    oracle = {"sgasp": oracle_sgasp, "gasp": oracle_gasp, "ggasp": oracle_ggasp}[kind]
+    res = oracle(inst, budget=budget)
+    return SolveResult(res.exists, res.witnesses[0] if res.exists else None,
+                       {"explored": res.explored})
+
+
+# name -> (instance kinds it decides, run(inst, budget=, max_agents=, max_types=)
+# returning a SolveResult); solvers are looked up by name at call time, so
+# rebinding them in this module takes effect
+ALGORITHMS = {
+    "fpt-ta": ({"sgasp"}, lambda inst, **_: solve_fpt_ta(inst)),
+    "xp-t": ({"sgasp"}, lambda inst, **_: solve_xp_t(inst)),
+    "fpt-n": ({"sgasp"}, lambda inst, max_agents, **_: solve_fpt_n(inst, max_agents)),
+    "xp-gasp": ({"gasp"}, lambda inst, max_types, **_: solve_xp_gasp(inst, max_types=max_types)),
+    "brute": ({"sgasp", "gasp", "ggasp", "smpss", "pclique"}, _brute),
 }
 
 
-def _run_alg(alg, inst, budget=None, max_agents=None, max_types=None):
+def _run_alg(alg, inst, budget=None, max_agents=DEFAULT_AGENT_CAP,
+             max_types=DEFAULT_TYPE_CAP):
     """Returns (exists, witness or None, stats dict)."""
-    kind = formats.instance_kind(inst)
-    if alg == "fpt-ta":
-        r = solve_fpt_ta(inst)
-    elif alg == "xp-t":
-        r = solve_xp_t(inst)
-    elif alg == "fpt-n":
-        r = solve_fpt_n(inst) if max_agents is None else solve_fpt_n(inst, max_agents)
-    elif alg == "xp-gasp":
-        r = (solve_xp_gasp(inst) if max_types is None
-             else solve_xp_gasp(inst, max_types=max_types))
-    elif alg == "brute":
-        if kind == "smpss":
-            res = brute_mpss(inst.family(), budget=budget)
-            hit = inst.target in res.targets
-            return hit, (res.witness(inst.target) if hit else None), {}
-        if kind == "pclique":
-            combo = find_clique(inst)
-            return combo is not None, combo, {}
-        oracle = {"sgasp": oracle_sgasp, "gasp": oracle_gasp, "ggasp": oracle_ggasp}[kind]
-        res = oracle(inst, budget=budget)
-        witness = res.witnesses[0] if res.exists else None
-        return res.exists, witness, {"explored": res.explored}
-    else:
-        raise InvalidInstanceError(f"unknown algorithm {alg!r}")
+    r = ALGORITHMS[alg][1](inst, budget=budget, max_agents=max_agents,
+                           max_types=max_types)
     return r.exists, r.witness, dict(r.stats)
 
 
 def _check_alg_kind(alg, inst):
     kind = formats.instance_kind(inst)
-    if kind not in ALG_KINDS[alg]:
+    if kind not in ALGORITHMS[alg][0]:
         raise InvalidInstanceError(f"algorithm {alg!r} does not handle {kind} instances")
     return kind
+
+
+def _budget(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _render_witness(inst, witness):
@@ -261,7 +266,7 @@ def _suite_paths(path):
 def cmd_bench(args) -> int:
     algs = [a.strip() for a in args.alg.split(",") if a.strip()]
     for a in algs:
-        if a not in ALG_KINDS:
+        if a not in ALGORITHMS:
             raise InvalidInstanceError(f"unknown algorithm {a!r}")
     if not algs:
         raise InvalidInstanceError("no algorithms given")
@@ -322,13 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="command")
 
     p = subs.add_parser("solve", help="decide one instance file")
-    p.add_argument("--alg", required=True, choices=sorted(ALG_KINDS))
+    p.add_argument("--alg", required=True, choices=sorted(ALGORITHMS))
     p.add_argument("--in", dest="input", required=True, help="instance file")
     p.add_argument("--witness", help="write the YES witness here")
     p.add_argument("--timeout", type=float, help="wall clock cap in seconds")
-    p.add_argument("--budget", type=int, help="enumeration cap for brute force")
-    p.add_argument("--max-agents", type=int, help="raise the structural cap of fpt-n")
-    p.add_argument("--max-types", type=int, help="raise the structural cap of xp-gasp")
+    p.add_argument("--budget", type=_budget, help="enumeration cap for brute force")
+    p.add_argument("--max-agents", type=int, default=DEFAULT_AGENT_CAP,
+                   help="raise the structural cap of fpt-n")
+    p.add_argument("--max-types", type=int, default=DEFAULT_TYPE_CAP,
+                   help="raise the structural cap of xp-gasp")
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("verify", help="check a witness file")
@@ -375,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", required=True, help="comma-separated algorithm list")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.add_argument("--timeout", type=float, help="per-cell wall clock cap in seconds")
-    p.add_argument("--budget", type=int, help="enumeration cap for brute force")
+    p.add_argument("--budget", type=_budget, help="enumeration cap for brute force")
     p.set_defaults(func=cmd_bench)
 
     return parser

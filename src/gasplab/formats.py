@@ -135,11 +135,16 @@ def _fail(msg: str):
     raise InvalidInstanceError(msg)
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _require(doc, key, types, what="document"):
     if key not in doc:
         _fail(f"{what} is missing {key!r}")
     v = doc[key]
-    if not isinstance(v, types):
+    if not isinstance(v, types) or isinstance(v, bool):
         _fail(f"{what} field {key!r} has the wrong shape")
     return v
 
@@ -154,7 +159,7 @@ def _parse_types(doc, kind) -> tuple:
         if kind == "sgasp":
             approvals = _require(rec, "approvals", dict, f"type {tid!r}")
             for a, sizes in approvals.items():
-                if not isinstance(sizes, list) or not all(isinstance(s, int) for s in sizes):
+                if not isinstance(sizes, list) or not all(_is_int(s) for s in sizes):
                     _fail(f"type {tid!r} approvals for {a!r} must be a list of ints")
             prefs = SizeSetPrefs({a: frozenset(sizes) for a, sizes in approvals.items()})
         else:
@@ -162,8 +167,8 @@ def _parse_types(doc, kind) -> tuple:
             for entry in _require(rec, "ranks", list, f"type {tid!r}"):
                 ok = (isinstance(entry, list) and len(entry) == 2
                       and isinstance(entry[0], list) and len(entry[0]) == 2
-                      and isinstance(entry[0][0], str) and isinstance(entry[0][1], int)
-                      and isinstance(entry[1], int))
+                      and isinstance(entry[0][0], str) and _is_int(entry[0][1])
+                      and _is_int(entry[1]))
                 if not ok:
                     _fail(f"type {tid!r} rank entry {entry!r} is not [[activity, size], rank]")
                 alt = (entry[0][0], entry[0][1])
@@ -296,7 +301,7 @@ def doc_to_witness(doc, instance: Instance) -> Witness:
             for aid, c in cells.items():
                 if aid not in aix:
                     raise InvalidAssignmentError(f"witness names unknown activity {aid!r}")
-                if not isinstance(c, int) or c < 0:
+                if not _is_int(c) or c < 0:
                     raise InvalidAssignmentError(f"bad count {c!r} at ({tid!r}, {aid!r})")
                 rows[tix[tid]][aix[aid]] = c
         return TypeCountAssignment(tuple(tuple(r) for r in rows))

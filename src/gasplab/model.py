@@ -538,24 +538,28 @@ def incidence_graph(x: TypeCountAssignment) -> frozenset[tuple[int, int]]:
                      for ai, c in enumerate(row) if c > 0)
 
 
+def is_forest(vertex_count: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether an edge list over vertices 0..vertex_count-1 has no cycle."""
+    parent = list(range(vertex_count))
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
+
+
 def is_acyclic(edges: Iterable[tuple[int, int]]) -> bool:
     """Whether a set of (type, activity) edges forms a forest."""
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def find(v):
-        root = v
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(v, v) != v:
-            parent[v], v = root, parent[v]
-        return root
-
-    for ti, ai in sorted(edges):
-        ru, rv = find(("t", ti)), find(("a", ai))
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    edges = list(edges)
+    t_count = 1 + max((ti for ti, _ in edges), default=-1)
+    a_count = 1 + max((ai for _, ai in edges), default=-1)
+    return is_forest(t_count + a_count, [(ti, t_count + ai) for ti, ai in edges])
 
 
 def _find_cycle(edges: frozenset[tuple[int, int]]) -> tuple[list[int], list[int]]:

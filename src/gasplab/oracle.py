@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .budget import resolve_budget
 from .errors import BudgetError
@@ -32,39 +32,10 @@ DEFAULT_ORACLE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
-class OracleBudget:
-    """Enumeration caps, overridable per variant."""
-
-    default: int = DEFAULT_ORACLE_BUDGET
-    sgasp: Optional[int] = None
-    gasp: Optional[int] = None
-    ggasp: Optional[int] = None
-
-    def __post_init__(self):
-        for v in (self.default, self.sgasp, self.gasp, self.ggasp):
-            if v is not None and v <= 0:
-                raise ValueError("budget caps must be positive")
-
-    def cap(self, variant: str) -> int:
-        override = getattr(self, variant)
-        if override is not None:
-            return override
-        return resolve_budget(None, self.default)
-
-
-@dataclass(frozen=True)
 class OracleResult:
     exists: bool
     witnesses: Tuple
     explored: int
-
-
-def _as_budget(budget) -> OracleBudget:
-    if budget is None:
-        return OracleBudget()
-    if isinstance(budget, OracleBudget):
-        return budget
-    return OracleBudget(default=int(budget))
 
 
 def _compositions(total: int, parts: int):
@@ -90,7 +61,7 @@ def _count_matrices(inst: TypedInstance) -> int:
 
 
 def _typed_oracle(inst, verify, variant, budget, collect_all):
-    cap = _as_budget(budget).cap(variant)
+    cap = resolve_budget(budget, DEFAULT_ORACLE_BUDGET)
     total = _count_matrices(inst)
     if total > cap:
         raise BudgetError(
@@ -123,7 +94,7 @@ def oracle_gasp(inst: TypedInstance, budget=None, collect_all=False) -> OracleRe
 def oracle_ggasp(net: NetworkInstance, budget=None, collect_all=False) -> OracleResult:
     """Per-agent enumeration; connectivity breaks type symmetry, so the
     type-count shortcut is not available here."""
-    cap = _as_budget(budget).cap("ggasp")
+    cap = resolve_budget(budget, DEFAULT_ORACLE_BUDGET)
     agents = net.agent_ids()
     choices = [EMPTY_ACTIVITY] + list(net.base.activities)
     total = len(choices) ** len(agents)

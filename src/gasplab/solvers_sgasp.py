@@ -24,13 +24,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InternalSolverError, InvalidInstanceError
 from .model import (
-    SizeSetPrefs,
     TypeCountAssignment,
     TypedInstance,
     gamma_preprocess,
     verify_sgasp,
 )
-from .subsetsum import LabeledTree, VectorFamily, solve_mpss, solve_tss
+from .subsetsum import LabeledTree, VectorFamily, _mask, solve_mpss, solve_tss
 
 DEFAULT_AGENT_CAP = 10
 
@@ -42,42 +41,12 @@ class SolveResult:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class PatternGraph:
-    """A bipartite edge set between type and activity indices."""
-
-    type_count: int
-    activity_count: int
-    edges: Tuple[Tuple[int, int], ...]
-
-    def is_acyclic(self) -> bool:
-        parent = list(range(self.type_count + self.activity_count))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for t, a in self.edges:
-            ru, rv = find(t), find(self.type_count + a)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    def compatible_with(self, q: Iterable[int], a_ne: Iterable[int]) -> bool:
-        """Every fully-attending type and every must-be-nonempty activity
-        needs at least one incident edge."""
-        t_deg = set(t for t, _ in self.edges)
-        a_deg = set(a for _, a in self.edges)
-        return set(q) <= t_deg and set(a_ne) <= a_deg
-
-
 def enumerate_acyclic_patterns(t_count: int, a_count: int,
                                q: Iterable[int] = (),
                                a_ne: Iterable[int] = ()):
-    """All acyclic bipartite patterns compatible with (q, a_ne), each once.
+    """All acyclic bipartite patterns compatible with (q, a_ne), each once,
+    as (type, activity) edge tuples.  Every type in q and every activity in
+    a_ne gets at least one incident edge.
 
     Depth-first over the lexicographic edge list, skip-branch before
     take-branch, with union-find pruning so cyclic subsets are never built.
@@ -85,6 +54,7 @@ def enumerate_acyclic_patterns(t_count: int, a_count: int,
     q = frozenset(q)
     a_ne = frozenset(a_ne)
     edges = [(t, a) for t in range(t_count) for a in range(a_count)]
+    # union by size without path compression, so every union can be undone
     parent = list(range(t_count + a_count))
     size = [1] * len(parent)
     chosen: List[Tuple[int, int]] = []
@@ -109,7 +79,7 @@ def enumerate_acyclic_patterns(t_count: int, a_count: int,
     def rec(i):
         if i == len(edges):
             if all(t_deg[t] for t in q) and all(a_deg[a] for a in a_ne):
-                yield PatternGraph(t_count, a_count, tuple(chosen))
+                yield tuple(chosen)
             return
         yield from rec(i + 1)
         t, a = edges[i]
@@ -130,10 +100,6 @@ def enumerate_acyclic_patterns(t_count: int, a_count: int,
     yield from rec(0)
 
 
-def _approval_sets(inst: TypedInstance) -> List[SizeSetPrefs]:
-    return [t.prefs for t in inst.types]
-
-
 def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
     """Pattern branching plus tree subset sum.
 
@@ -150,14 +116,14 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
     for q_mask in range(1 << k):
         q_ids = [tids[i] for i in range(k) if q_mask >> i & 1]
         pruned, a_ne = gamma_preprocess(inst, q_ids)
-        prefs = _approval_sets(pruned)
+        prefs = [t.prefs for t in pruned.types]
         aidx = inst.activity_index()
         a_ne_idx = [aidx[a] for a in a_ne]
         q_idx = [i for i in range(k) if q_mask >> i & 1]
         for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne_idx):
             branches += 1
             neighbours: List[List[int]] = [[] for _ in range(m)]
-            for t, a in pat.edges:
+            for t, a in pat:
                 neighbours[a].append(t)
             labels: List[FrozenSet[int]] = []
             for i, t in enumerate(inst.types):
@@ -174,12 +140,12 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
                     sizes = prefs[t].sizes(inst.activities[a])
                     lab = sizes if lab is None else lab & sizes
                 labels.append(frozenset(lab))
-            tree = LabeledTree(labels, [(t, k + a) for t, a in pat.edges])
+            tree = LabeledTree(labels, [(t, k + a) for t, a in pat])
             res = solve_tss(tree)
             if not res.feasible:
                 continue
             rows = [[0] * m for _ in range(k)]
-            for (t, a), val in zip(pat.edges, res.alpha):
+            for (t, a), val in zip(pat, res.alpha):
                 rows[t][a] = val
             x = TypeCountAssignment(tuple(tuple(r) for r in rows))
             if not verify_sgasp(inst, x).stable:
@@ -231,7 +197,7 @@ def find_ir_assignment(inst: TypedInstance, q: Iterable[str],
         # nobody to send anywhere; feasible iff nothing must be nonempty
         return None if a_ne else TypeCountAssignment(())
     caps = [t.count for t in inst.types]
-    prefs = _approval_sets(inst)
+    prefs = [t.prefs for t in inst.types]
     sets = []
     for a in inst.activities:
         vecs: List[Tuple[int, ...]] = []
@@ -389,7 +355,7 @@ def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> Sol
     m = len(inst.activities)
     type_of = [i for i, t in enumerate(inst.types) for _ in range(t.count)]
     masks = [
-        [_size_mask(t.prefs.sizes(a), n) for a in inst.activities]
+        [_mask(t.prefs.sizes(a), n) for a in inst.activities]
         for t in inst.types
     ]
     branches = 0
@@ -431,11 +397,3 @@ def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> Sol
                     "partition witness failed re-verification; this is a bug")
             return SolveResult(True, x, {"branches": branches})
     return SolveResult(False, None, {"branches": branches})
-
-
-def _size_mask(sizes: FrozenSet[int], top: int) -> int:
-    out = 0
-    for s in sizes:
-        if s <= top:
-            out |= 1 << s
-    return out

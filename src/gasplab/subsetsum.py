@@ -22,6 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .budget import WorkMeter, resolve_budget
 from .errors import InvalidInstanceError
+from .model import is_forest
 
 
 def _mask(values: Iterable[int], top: int) -> int:
@@ -136,23 +137,13 @@ class LabeledTree:
             _check_nonneg(l, "labels")
         n = len(labels)
         norm = []
-        parent = list(range(n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
         for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InvalidInstanceError(f"bad edge {e!r}")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise InvalidInstanceError("edge set contains a cycle")
-            parent[ru] = rv
             norm.append((u, v))
+        if not is_forest(n, norm):
+            raise InvalidInstanceError("edge set contains a cycle")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", tuple(norm))
 
@@ -263,10 +254,14 @@ def check_tss_witness(tree: LabeledTree, alpha: Sequence[int]) -> bool:
 
 
 def brute_tss(tree: LabeledTree, budget: Optional[int] = None) -> TSSResult:
-    """Exhaustive TSS over all valuations in [0, max]^|E|, lexicographic.
+    """Exhaustive TSS over all valuations with each edge in
+    [0, min(max label(u), max label(v))], lexicographic.
     One step per valuation tried."""
     meter = WorkMeter(resolve_budget(budget))
-    top = tree.max_value
+    # an edge value never exceeds either endpoint's incident sum, so this box
+    # holds every feasible valuation; an empty label makes the range empty
+    hi = [max(l) if l else -1 for l in tree.labels]
+    tops = [min(hi[u], hi[v]) for u, v in tree.edges]
     m = len(tree.edges)
     alpha = [0] * m
 
@@ -274,7 +269,7 @@ def brute_tss(tree: LabeledTree, budget: Optional[int] = None) -> TSSResult:
         if i == m:
             meter.tick()
             return check_tss_witness(tree, alpha)
-        for val in range(top + 1):
+        for val in range(tops[i] + 1):
             alpha[i] = val
             if rec(i + 1):
                 return True

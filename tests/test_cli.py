@@ -7,6 +7,8 @@ import itertools
 import json
 import subprocess
 
+import pytest
+
 from conftest import gasp_instance, sgasp_instance
 from gasplab import cli, formats
 from gasplab.generators import random_partitioned_clique
@@ -115,6 +117,31 @@ def test_solve_budget_exit(tmp_path, capsys):
                        "--budget", "1")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
+def test_budget_flag_must_be_positive_int(tmp_path, capsys, command, value):
+    inst = write(tmp_path / "i.json", YES_SGASP)
+    suite = tmp_path / "suite.txt"
+    suite.write_text(inst + "\n")
+    source = ["--in", inst] if command == "solve" else ["--suite", str(suite)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--alg", "brute", *source, "--budget", value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "--budget" in out.err and "integer >= 1" in out.err
+    assert "Traceback" not in out.err and out.out == ""
+
+
+def test_budget_flag_beats_env(tmp_path, capsys, monkeypatch):
+    inst = write(tmp_path / "i.json", YES_SGASP)
+    monkeypatch.setenv("GASPLAB_BUDGET", "1")
+    code, _, err = run(capsys, "solve", "--alg", "brute", "--in", inst)
+    assert code == 3 and "cap is 1" in err
+    code, out, _ = run(capsys, "solve", "--alg", "brute", "--in", inst,
+                       "--budget", "1000000")
+    assert code == 0 and json.loads(out)["exists"] is True
 
 
 def test_solve_structural_caps_raisable(tmp_path, capsys):
@@ -331,6 +358,16 @@ def test_bench_budget_marker(tmp_path, capsys):
     answers = {r["algorithm"]: r["answer"] for r in rows}
     assert answers["brute"] == "budget"
     assert answers["fpt-ta"] == "yes"  # exact solver ignores the brute cap
+
+
+def test_bench_algorithm_names_checked(tmp_path, capsys):
+    suite = bench_suite(tmp_path, [YES_SGASP])
+    code, out, err = run(capsys, "bench", "--suite", suite, "--alg", "fpt-ta,nope")
+    assert code == 2 and out == ""
+    assert "unknown algorithm 'nope'" in err
+    code, out, err = run(capsys, "bench", "--suite", suite, "--alg", ",")
+    assert code == 2 and out == ""
+    assert "no algorithms given" in err
 
 
 def test_bench_disagreement(tmp_path, capsys, monkeypatch):

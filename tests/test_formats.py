@@ -111,6 +111,16 @@ def test_serialization_is_canonical():
     lambda d: d.update(kind="tsp"),
     lambda d: d.pop("activities"),
     lambda d: d.update(types=[{"id": "t1", "count": 1}]),
+    # JSON booleans where the format needs integers; with 1 / 0 in place of
+    # true each of these documents loads
+    lambda d: d["types"][1].update(count=True),
+    lambda d: d["types"][0].update(approvals={"a1": [True]}),
+    lambda d: d.update(kind="gasp", types=[
+        {"id": "t1", "count": 1, "ranks": [[["a1", True], 2], [["@empty", 1], 0]]}]),
+    lambda d: d.update(kind="gasp", types=[
+        {"id": "t1", "count": 1, "ranks": [[["@empty", 1], True]]}]),
+    lambda d: d.update(kind="smpss", d=True, target=[1], sets=[[[1]]]),
+    lambda d: d.update(kind="pclique", k=True, parts=[["u"]], edges=[]),
 ])
 def test_malformed_instance_docs(mangle):
     doc = formats.instance_to_doc(SGASP)
@@ -189,6 +199,14 @@ def test_witness_unresolved_ids():
            "counts": {"t1": {"zz": 1}}}
     with pytest.raises(InvalidAssignmentError, match="unknown activity"):
         formats.doc_to_witness(doc, SGASP)
+
+
+def test_witness_counts_must_be_nonnegative_ints():
+    for bad in (True, -1, "1", 1.0):
+        doc = {"format": "gasplab-witness", "version": 1, "kind": "sgasp",
+               "counts": {"t1": {"a1": bad}}}
+        with pytest.raises(InvalidAssignmentError, match="bad count"):
+            formats.doc_to_witness(doc, SGASP)
 
 
 def test_witness_kind_mismatch():

@@ -23,7 +23,6 @@ from gasplab.model import (
     induced_type_counts,
 )
 from gasplab.oracle import (
-    OracleBudget,
     oracle_gasp,
     oracle_ggasp,
     oracle_sgasp,
@@ -140,8 +139,12 @@ def test_oracle_budget_refusal_is_not_a_no():
         oracle_ggasp(net, budget=1)
 
 
-def test_oracle_budget_per_variant_override():
+def test_oracle_explicit_budget_beats_env(monkeypatch):
     inst = sgasp_instance(["a"], [("t1", 2, {"a": {2}})])
-    assert oracle_sgasp(inst, budget=OracleBudget(default=1, sgasp=100)).exists
-    with pytest.raises(BudgetError):
-        oracle_sgasp(inst, budget=OracleBudget(default=100, sgasp=1))
+    monkeypatch.setenv("GASPLAB_BUDGET", "1")
+    assert oracle_sgasp(inst, budget=100).exists
+    with pytest.raises(BudgetError, match="cap is 1"):
+        oracle_sgasp(inst)
+    monkeypatch.setenv("GASPLAB_BUDGET", "100")
+    with pytest.raises(BudgetError, match="cap is 1"):
+        oracle_sgasp(inst, budget=1)

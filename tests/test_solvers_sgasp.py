@@ -13,7 +13,6 @@ from gasplab.model import (
 )
 from gasplab.oracle import oracle_sgasp
 from gasplab.solvers_sgasp import (
-    PatternGraph,
     enumerate_acyclic_patterns,
     find_ir_assignment,
     solve_fpt_n,
@@ -38,16 +37,16 @@ def test_pattern_counts():
 def test_patterns_unique_acyclic_and_complete():
     seen = set()
     for pat in enumerate_acyclic_patterns(2, 3):
-        assert pat.is_acyclic()
-        assert pat.edges not in seen
-        seen.add(pat.edges)
+        assert is_acyclic(pat)
+        assert pat not in seen
+        seen.add(pat)
     # every acyclic subset shows up: count them the dumb way
     import itertools
     all_edges = [(t, a) for t in range(2) for a in range(3)]
     brute = 0
     for r in range(len(all_edges) + 1):
         for sub in itertools.combinations(all_edges, r):
-            if PatternGraph(2, 3, sub).is_acyclic():
+            if is_acyclic(sub):
                 brute += 1
     assert len(seen) == brute
 
@@ -55,9 +54,8 @@ def test_patterns_unique_acyclic_and_complete():
 def test_pattern_compatibility_filter():
     pats = list(enumerate_acyclic_patterns(2, 2, q=[0], a_ne=[1]))
     for pat in pats:
-        assert any(t == 0 for t, _ in pat.edges)
-        assert any(a == 1 for _, a in pat.edges)
-    assert all(pat.compatible_with([0], [1]) for pat in pats)
+        assert any(t == 0 for t, _ in pat)
+        assert any(a == 1 for _, a in pat)
     full = sum(1 for _ in enumerate_acyclic_patterns(2, 2))
     assert 0 < len(pats) < full
 
