@@ -7,9 +7,16 @@ GASPLAB_BUDGET environment variable, then the per-caller fallback.
 
 import os
 
-from .errors import BudgetError
+from .errors import BudgetError, InvalidSettingError
 
 DEFAULT_BUDGET = 10 ** 7
+
+
+def parse_budget(text, source):
+    """The one rule for a budget given as text: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise InvalidSettingError(f"{source} must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def resolve_budget(budget=None, fallback=DEFAULT_BUDGET):
@@ -17,7 +24,7 @@ def resolve_budget(budget=None, fallback=DEFAULT_BUDGET):
         return int(budget)
     env = os.environ.get("GASPLAB_BUDGET", "").strip()
     if env:
-        return int(env)
+        return parse_budget(env, "GASPLAB_BUDGET")
     return fallback
 
 

@@ -7,8 +7,8 @@ and ``bench`` times algorithms over a suite and cross-checks answers.
 
 Exit codes: 0 decided / stable / done, 1 verification failure or
 cross-algorithm disagreement, 2 input error, 3 budget or timeout.  The
-brute-force checkers cap their enumeration work at ``--budget N`` (an
-integer >= 1) if given, else at the GASPLAB_BUDGET environment variable,
+brute-force checkers cap their enumeration work at ``--budget N`` if given,
+else at the GASPLAB_BUDGET environment variable (either an integer >= 1),
 else at their default (2,000,000 matrices for the oracles, 10**7 steps for
 the subset-sum checkers).
 """
@@ -24,7 +24,8 @@ import sys
 import time
 
 from . import formats
-from .errors import BudgetError, InvalidAssignmentError, InvalidInstanceError
+from .budget import parse_budget
+from .errors import BudgetError, InvalidAssignmentError, InvalidInstanceError, InvalidSettingError
 from .generators import (
     PartitionedCliqueInstance,
     SMPSSInstance,
@@ -119,9 +120,10 @@ def _check_alg_kind(alg, inst):
 
 
 def _budget(text):
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+    try:
+        return parse_budget(text, "budget")
+    except InvalidSettingError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _render_witness(inst, witness):
@@ -396,7 +398,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (InvalidInstanceError, InvalidAssignmentError) as exc:
+    except (InvalidInstanceError, InvalidAssignmentError, InvalidSettingError) as exc:
         _err(exc)
         return 2
     except OSError as exc:

@@ -13,6 +13,10 @@ class InvalidAssignmentError(GasplabError):
     """An assignment does not fit the instance it is checked against."""
 
 
+class InvalidSettingError(GasplabError):
+    """A budget flag or environment variable holds a value it does not allow."""
+
+
 class BudgetError(GasplabError):
     """An enumeration would exceed the configured budget.
 

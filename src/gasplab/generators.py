@@ -24,14 +24,13 @@ from .errors import InvalidInstanceError
 from .model import (
     EMPTY_ACTIVITY,
     HOME,
-    AgentAssignment,
     AgentType,
     NetworkInstance,
     RankMap,
     SizeSetPrefs,
     TypedInstance,
 )
-from .subsetsum import VectorFamily, brute_mpss
+from .subsetsum import VectorFamily, _check_nonneg, brute_mpss
 
 __all__ = [
     "PartitionedCliqueInstance",
@@ -85,7 +84,7 @@ class PartitionedCliqueInstance:
     meta: Optional[Mapping] = None
 
     def __post_init__(self):
-        parts = tuple(tuple(str(v) for v in part) for part in self.parts)
+        parts = tuple(tuple(part) for part in self.parts)
         if not parts:
             raise InvalidInstanceError("need at least one part")
         n = len(parts[0])
@@ -94,7 +93,7 @@ class PartitionedCliqueInstance:
         where = {}
         for i, part in enumerate(parts):
             for pos, v in enumerate(part):
-                if not v:
+                if not isinstance(v, str) or not v:
                     raise InvalidInstanceError("vertex id must be a nonempty string")
                 if v in where:
                     raise InvalidInstanceError(f"duplicate vertex id {v!r}")
@@ -102,7 +101,6 @@ class PartitionedCliqueInstance:
         norm = set()
         for pair in self.edges:
             u, v = pair
-            u, v = str(u), str(v)
             if u not in where or v not in where:
                 raise InvalidInstanceError(f"edge {pair!r} references unknown vertex")
             if where[u][0] == where[v][0]:
@@ -194,23 +192,23 @@ class SMPSSInstance:
     meta: Optional[Mapping] = None
 
     def __post_init__(self):
-        target = tuple(int(t) for t in self.target)
+        target = tuple(self.target)
         if not target:
             raise InvalidInstanceError("dimension must be >= 1")
-        if any(t < 0 for t in target):
-            raise InvalidInstanceError("target components must be nonnegative")
+        _check_nonneg(target, "target components")
         d = len(target)
         norm = []
         for si, p_set in enumerate(self.sets):
             vecs = []
             values = set()
             for vec in p_set:
-                vec = tuple(int(x) for x in vec)
+                vec = tuple(vec)
                 if len(vec) != d:
                     raise InvalidInstanceError(
                         f"set {si}: vector {vec!r} is not {d}-dimensional")
+                _check_nonneg(vec, f"set {si}: vector components")
                 nz = [x for x in vec if x != 0]
-                if len(nz) != 1 or nz[0] < 0:
+                if len(nz) != 1:
                     raise InvalidInstanceError(
                         f"set {si}: vector {vec!r} needs exactly one positive component")
                 if nz[0] in values:

@@ -83,15 +83,8 @@ class RankMap:
         object.__setattr__(self, "ranks", clean)
         object.__setattr__(self, "_default", min(clean.values()) - 1)
 
-    @property
-    def default_rank(self) -> int:
-        return self._default
-
     def rank(self, alternative: tuple[str, int]) -> int:
         return self.ranks.get(alternative, self._default)
-
-    def rank_of(self, activity: str, size: int) -> int:
-        return self.rank((activity, size))
 
     @property
     def home_rank(self) -> int:
@@ -197,10 +190,6 @@ class TypeCountAssignment:
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(tuple(int(c) for c in row) for row in self.counts))
 
-    @classmethod
-    def zeros(cls, type_count: int, activity_count: int) -> "TypeCountAssignment":
-        return cls(tuple((0,) * activity_count for _ in range(type_count)))
-
     def row_sum(self, t: int) -> int:
         return sum(self.counts[t])
 
@@ -265,9 +254,6 @@ class AgentAssignment:
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", dict(self.mapping))
-
-    def activity_of(self, agent: str) -> str:
-        return self.mapping[agent]
 
 
 @dataclass(frozen=True)
@@ -529,6 +515,24 @@ def gamma_preprocess(inst: TypedInstance, q: Iterable[str]) -> tuple[TypedInstan
         new_types.append(AgentType(t.id, t.count, SizeSetPrefs(approvals)))
     pruned = TypedInstance(inst.activities, tuple(new_types), meta=inst.meta)
     return pruned, tuple(nonempty)
+
+
+def approval_masks(inst: TypedInstance) -> list[list[int]]:
+    """Per type and activity, the approved sizes as a bitmask (bit s: size s)."""
+    return [[sum(1 << s for s in t.prefs.sizes(a)) for a in inst.activities]
+            for t in inst.types]
+
+
+def gamma_masks(masks: list[list[int]], home: Iterable[int]) -> tuple[list[list[int]], list[int]]:
+    """`gamma_preprocess` on `approval_masks` output, for q the types not in
+    `home` (indices): the pruned masks and the indices of must-use activities."""
+    drop = [0] * (len(masks[0]) if masks else 0)
+    for t in home:
+        for a, mask in enumerate(masks[t]):
+            drop[a] |= mask >> 1
+    pruned = [[mask & ~d for mask, d in zip(row, drop)] for row in masks]
+    # sizes are >= 1: bit 0 of drop[a] means a home type would start a alone
+    return pruned, [a for a, d in enumerate(drop) if d & 1]
 
 
 def incidence_graph(x: TypeCountAssignment) -> frozenset[tuple[int, int]]:

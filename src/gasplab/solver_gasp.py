@@ -29,6 +29,7 @@ from .model import (
     SizeSetPrefs,
     TypeCountAssignment,
     TypedInstance,
+    _require_kind,
     verify_gasp,
 )
 from .solvers_sgasp import SolveResult, find_ir_assignment
@@ -75,11 +76,6 @@ class DerivedSGasp:
     guess: MinimalGuess
     consistent: bool
     removed: FrozenSet[Tuple[str, int]]
-
-
-def _require_rank(inst: TypedInstance) -> None:
-    if inst.types and inst.kind != "gasp":
-        raise InvalidInstanceError("rank preferences required")
 
 
 def _checked_thresholds(inst: TypedInstance, guess: MinimalGuess) -> Dict[str, int]:
@@ -131,7 +127,7 @@ def gtosg_reduce(inst: TypedInstance, guess: MinimalGuess) -> DerivedSGasp:
     weakly prefer their seat to each struck-out alternative's successor,
     which the plain threshold filter does not imply.
     """
-    _require_rank(inst)
+    _require_kind(inst, "gasp")
     if IDLE_ACTIVITY in inst.activities:
         raise InvalidInstanceError(f"{IDLE_ACTIVITY!r} is reserved for derived instances")
     n = inst.n
@@ -231,7 +227,7 @@ def solve_xp_gasp(inst: TypedInstance, *, max_types: int = DEFAULT_TYPE_CAP) -> 
     internal bug, never a NO.  Runs take |A|*n guesses per type, so the
     type count is capped (override with max_types).
     """
-    _require_rank(inst)
+    _require_kind(inst, "gasp")
     if len(inst.types) > max_types:
         raise BudgetError(
             f"{len(inst.types)} types exceed the cap of {max_types}; raise max_types to override")

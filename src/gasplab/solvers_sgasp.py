@@ -1,7 +1,8 @@
 """Exact deciders for size-approval instances.
 
 Three parameterizations of the same question (does a stable assignment
-exist), each built from the shared preprocessing in `model.gamma_preprocess`:
+exist), each built on the pruning of `model.gamma_preprocess` or of its
+bitmask form `model.gamma_masks`:
 
 * solve_fpt_ta: branch over the set Q of fully-attending types and over
   acyclic bipartite type-activity patterns, then solve a tree subset sum
@@ -18,18 +19,20 @@ never a NO.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BudgetError, InternalSolverError, InvalidInstanceError
+from .errors import BudgetError, InternalSolverError
 from .model import (
     TypeCountAssignment,
     TypedInstance,
+    _require_kind,
+    approval_masks,
+    gamma_masks,
     gamma_preprocess,
     verify_sgasp,
 )
-from .subsetsum import LabeledTree, VectorFamily, _mask, solve_mpss, solve_tss
+from .subsetsum import VectorFamily, _tss, solve_mpss
 
 DEFAULT_AGENT_CAP = 10
 
@@ -106,46 +109,30 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
     A pattern edge valued v means v agents of that type at that activity; a
     zero-valued edge realizes a sub-pattern, which is sound here because
     activity labels never contain 0 and the assignment is re-verified.
+    Labels are bitmasks, {0} for an activity without pattern edges; the
+    patterns are forests, as the TSS kernel requires.
     """
-    if inst.types and inst.kind != "sgasp":
-        raise InvalidInstanceError("solve_fpt_ta needs a size-approval instance")
+    _require_kind(inst, "sgasp")
     k = len(inst.types)
     m = len(inst.activities)
+    masks = approval_masks(inst)
     branches = 0
-    tids = inst.type_ids()
     for q_mask in range(1 << k):
-        q_ids = [tids[i] for i in range(k) if q_mask >> i & 1]
-        pruned, a_ne = gamma_preprocess(inst, q_ids)
-        prefs = [t.prefs for t in pruned.types]
-        aidx = inst.activity_index()
-        a_ne_idx = [aidx[a] for a in a_ne]
         q_idx = [i for i in range(k) if q_mask >> i & 1]
-        for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne_idx):
+        pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
+        type_labels = [1 << t.count if q_mask >> i & 1 else (1 << t.count) - 1
+                       for i, t in enumerate(inst.types)]
+        for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne):
             branches += 1
-            neighbours: List[List[int]] = [[] for _ in range(m)]
+            act_labels = [-1] * m  # -1: no neighbour yet
             for t, a in pat:
-                neighbours[a].append(t)
-            labels: List[FrozenSet[int]] = []
-            for i, t in enumerate(inst.types):
-                if q_mask >> i & 1:
-                    labels.append(frozenset({t.count}))
-                else:
-                    labels.append(frozenset(range(t.count)))
-            for a in range(m):
-                if not neighbours[a]:
-                    labels.append(frozenset({0}))
-                    continue
-                lab = None
-                for t in neighbours[a]:
-                    sizes = prefs[t].sizes(inst.activities[a])
-                    lab = sizes if lab is None else lab & sizes
-                labels.append(frozenset(lab))
-            tree = LabeledTree(labels, [(t, k + a) for t, a in pat])
-            res = solve_tss(tree)
-            if not res.feasible:
+                act_labels[a] &= pruned[t][a]
+            alpha = _tss(type_labels + [1 if lab < 0 else lab for lab in act_labels],
+                         [(t, k + a) for t, a in pat])
+            if alpha is None:
                 continue
             rows = [[0] * m for _ in range(k)]
-            for (t, a), val in zip(pat, res.alpha):
+            for (t, a), val in zip(pat, alpha):
                 rows[t][a] = val
             x = TypeCountAssignment(tuple(tuple(r) for r in rows))
             if not verify_sgasp(inst, x).stable:
@@ -227,8 +214,7 @@ def find_ir_assignment(inst: TypedInstance, q: Iterable[str],
 
 def solve_xp_t(inst: TypedInstance) -> SolveResult:
     """Q branching plus multidimensional subset sum over activity vectors."""
-    if inst.types and inst.kind != "sgasp":
-        raise InvalidInstanceError("solve_xp_t needs a size-approval instance")
+    _require_kind(inst, "sgasp")
     k = len(inst.types)
     tids = inst.type_ids()
     branches = 0
@@ -344,39 +330,25 @@ def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> Sol
     then match groups to activities.
 
     Agents are expanded from the type counts; agents of one type share an
-    approval bitmask.  A size s survives pruning at activity a unless some
-    home agent approves s+1 there (it would join); an activity must be used
-    if some home agent approves size 1 there (it would start it)."""
-    if inst.types and inst.kind != "sgasp":
-        raise InvalidInstanceError("solve_fpt_n needs a size-approval instance")
+    approval bitmask.  A size s survives pruning (`model.gamma_masks`) at
+    activity a unless some home agent approves s+1 there (it would join); an
+    activity must be used if some home agent approves size 1 there."""
+    _require_kind(inst, "sgasp")
     n = inst.n
     if n > max_agents:
         raise BudgetError(f"{n} agents exceed the configured cap {max_agents}")
     m = len(inst.activities)
     type_of = [i for i, t in enumerate(inst.types) for _ in range(t.count)]
-    masks = [
-        [_mask(t.prefs.sizes(a), n) for a in inst.activities]
-        for t in inst.types
-    ]
+    masks = approval_masks(inst)
     branches = 0
     for home_mask in range((1 << n) - 1, -1, -1):
-        home = [i for i in range(n) if home_mask >> i & 1]
         rest = [i for i in range(n) if not home_mask >> i & 1]
-        # prune sizes a home agent would pile onto; collect must-use activities
-        pruned = []
-        a_ne = set()
-        for a in range(m):
-            drop = 0
-            for i in home:
-                drop |= masks[type_of[i]][a] >> 1
-                if masks[type_of[i]][a] & 2:  # size 1 approved
-                    a_ne.add(a)
-            pruned.append([masks[type_of[i]][a] & ~drop for i in range(n)])
+        pruned, a_ne = gamma_masks(masks, {type_of[i] for i in range(n) if home_mask >> i & 1})
 
         def compatible(group, act):
             lab = -1
             for i in group:
-                lab &= pruned[act][i]
+                lab &= pruned[type_of[i]][act]
             return bool(lab >> len(group) & 1)
 
         for parts in _partitions(rest):

@@ -13,11 +13,14 @@ bitmasks (Python integers, one bit per reachable value):
 
 Each solver has a brute-force twin used as a test oracle; the twins refuse
 instances past a work budget instead of hanging.
+
+The instance classes (`LabeledTree` among them) are the validating
+boundary; past them everything works on plain bitmasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .budget import WorkMeter, resolve_budget
@@ -159,11 +162,19 @@ class TSSResult:
     alpha: Optional[Tuple[int, ...]] = None
 
 
-def _tree_structure(tree: LabeledTree):
-    """Roots (smallest index per component) and sorted children lists."""
-    n = len(tree.labels)
+def _tss(masks: Sequence[int], edges: Sequence[Tuple[int, int]]) -> Optional[Tuple[int, ...]]:
+    """TSS on bitmask labels (bit s of masks[v]: s is allowed at v): edge
+    values aligned with `edges`, or None.  Unchecked precondition: `edges`
+    is a forest over 0..len(masks)-1 without self loops.
+
+    Edge values live in N_0; label {0} is the neutral "no constraint beyond
+    empty incidence" for isolated vertices.  At each reconstruction step the
+    smallest workable edge value is taken, so the witness is deterministic.
+    """
+    # roots (smallest index per component) and sorted children lists
+    n = len(masks)
     adj: List[List[int]] = [[] for _ in range(n)]
-    for u, v in tree.edges:
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * n
@@ -184,40 +195,24 @@ def _tree_structure(tree: LabeledTree):
                     seen[w] = True
                     children[v].append(w)
                     stack.append(w)
-    return roots, children, order
 
-
-def _vertex_masks(tree: LabeledTree, children, order):
-    """Bottom-up R(v): slacks s such that s + sums from the subtrees below v
-    land in lambda(v).  Leaves reduce to lambda(v) itself."""
-    top = tree.max_value
-    r = [0] * len(tree.labels)
+    # bottom-up R(v): slacks s such that s + sums from the subtrees below v
+    # land in lambda(v); leaves reduce to lambda(v) itself
+    rmasks = [0] * n
     for v in reversed(order):
-        d = _mask(tree.labels[v], top)
+        d = masks[v]
         for c in children[v]:
-            d = _fold_mask(d, r[c])
-        r[v] = d
-    return r
-
-
-def solve_tss(tree: LabeledTree) -> TSSResult:
-    """Feasibility plus one witness valuation.
-
-    Edge values live in N_0; label {0} is the neutral "no constraint beyond
-    empty incidence" for isolated vertices.  At each reconstruction step the
-    smallest workable edge value is taken, so the witness is deterministic.
-    """
-    roots, children, order = _tree_structure(tree)
-    rmasks = _vertex_masks(tree, children, order)
+            d = _fold_mask(d, rmasks[c])
+        rmasks[v] = d
     if any(rmasks[r] & 1 == 0 for r in roots):
-        return TSSResult(False)
+        return None
 
     values: Dict[Tuple[int, int], int] = {}
     stack = [(r, 0) for r in roots]
     while stack:
         v, up = stack.pop()
         # remaining targets for the sum over edges into v's children
-        t = _mask(tree.labels[v], tree.max_value) >> up
+        t = masks[v] >> up
         cs = children[v]
         for i, c in enumerate(cs):
             rest = [rmasks[w] for w in cs[i + 1:]]
@@ -236,8 +231,14 @@ def solve_tss(tree: LabeledTree) -> TSSResult:
             values[(min(v, c), max(v, c))] = val
             t >>= val
             stack.append((c, val))
-    alpha = tuple(values[(min(u, v), max(u, v))] for u, v in tree.edges)
-    return TSSResult(True, alpha)
+    return tuple(values[(min(u, v), max(u, v))] for u, v in edges)
+
+
+def solve_tss(tree: LabeledTree) -> TSSResult:
+    """Feasibility plus one witness valuation (see `_tss`)."""
+    top = tree.max_value
+    alpha = _tss([_mask(l, top) for l in tree.labels], tree.edges)
+    return TSSResult(alpha is not None, alpha)
 
 
 def check_tss_witness(tree: LabeledTree, alpha: Sequence[int]) -> bool:
@@ -398,11 +399,11 @@ def _mpss_fold(d: int, p_set, radix: _MixedRadix) -> int:
 def solve_mpss(fam: VectorFamily) -> MPSSResult:
     """All t in [0,caps]^k writable as a sum with exactly one vector per set."""
     radix = _MixedRadix(fam.caps)
-    d = 1  # just the zero vector
+    prefixes = [1]  # prefixes[i]: the table after sets 0..i-1; 1 is the zero vector
     for p_set in fam.sets:
-        d = _mpss_fold(d, p_set, radix)
+        prefixes.append(_mpss_fold(prefixes[-1], p_set, radix))
     targets = set()
-    m = d
+    m = prefixes[-1]
     while m:
         low = m & -m
         targets.add(radix.vector(low.bit_length() - 1))
@@ -412,15 +413,11 @@ def solve_mpss(fam: VectorFamily) -> MPSSResult:
         chosen: List[Tuple[int, ...]] = [None] * len(fam.sets)  # type: ignore
         rest = target
         for i in reversed(range(len(fam.sets))):
-            # table after sets 0..i-1, recomputed instead of stored
-            prefix = 1
-            for p_set in fam.sets[:i]:
-                prefix = _mpss_fold(prefix, p_set, radix)
             for vec in fam.sets[i]:
                 if any(r < v for r, v in zip(rest, vec)):
                     continue
                 before = tuple(r - v for r, v in zip(rest, vec))
-                if (prefix >> radix.position(before)) & 1:
+                if (prefixes[i] >> radix.position(before)) & 1:
                     chosen[i] = vec
                     rest = before
                     break

@@ -134,6 +134,20 @@ def test_budget_flag_must_be_positive_int(tmp_path, capsys, command, value):
     assert "Traceback" not in out.err and out.out == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "abc"])
+def test_budget_env_must_be_positive_int(tmp_path, capsys, monkeypatch, command, value):
+    inst = write(tmp_path / "i.json", YES_SGASP)
+    suite = tmp_path / "suite.txt"
+    suite.write_text(inst + "\n")
+    source = ["--in", inst] if command == "solve" else ["--suite", str(suite)]
+    monkeypatch.setenv("GASPLAB_BUDGET", value)
+    code, out, err = run(capsys, command, "--alg", "brute", *source)
+    assert code == 2
+    assert "GASPLAB_BUDGET" in err and "integer >= 1" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_budget_flag_beats_env(tmp_path, capsys, monkeypatch):
     inst = write(tmp_path / "i.json", YES_SGASP)
     monkeypatch.setenv("GASPLAB_BUDGET", "1")

@@ -121,6 +121,11 @@ def test_serialization_is_canonical():
         {"id": "t1", "count": 1, "ranks": [[["@empty", 1], True]]}]),
     lambda d: d.update(kind="smpss", d=True, target=[1], sets=[[[1]]]),
     lambda d: d.update(kind="pclique", k=True, parts=[["u"]], edges=[]),
+    # wrong scalar types that would load coerced and be written back changed
+    lambda d: d.update(kind="smpss", d=1, target=[True], sets=[[[1]]]),
+    lambda d: d.update(kind="smpss", d=1, target=["2"], sets=[[[2]]]),
+    lambda d: d.update(kind="smpss", d=1, target=[1], sets=[[[1.0]]]),
+    lambda d: d.update(kind="pclique", k=1, parts=[[1, 2]], edges=[]),
 ])
 def test_malformed_instance_docs(mangle):
     doc = formats.instance_to_doc(SGASP)

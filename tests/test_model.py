@@ -7,6 +7,7 @@ from gasplab.errors import (InvalidAssignmentError, InvalidInstanceError,
 from gasplab.model import (EMPTY_ACTIVITY, HOME, AgentAssignment, AgentType,
                            NetworkInstance, RankMap, SizeSetPrefs,
                            TypeCountAssignment, TypedInstance, compress_once,
+                           approval_masks, gamma_masks,
                            gamma_preprocess, incidence_graph,
                            induced_type_counts, is_acyclic,
                            minimal_alternatives, perfect_types, verify_gasp,
@@ -307,6 +308,23 @@ def test_gamma_guarantee_fuzz():
             ir = all(v.kind != "ir" for v in verify_sgasp(pruned, cand).violations)
             filled = all(sizes[i] > 0 for i, a in enumerate(inst.activities) if a in nonempty)
             assert verify_sgasp(inst, cand).stable == (ir and filled)
+
+
+def test_gamma_masks_match_gamma_preprocess():
+    rng = random.Random(77)
+    for _ in range(150):
+        inst = _random_sgasp(rng)
+        k, n = len(inst.types), inst.n
+        masks = approval_masks(inst)
+        for q_mask in range(1 << k):
+            q = [t.id for i, t in enumerate(inst.types) if q_mask >> i & 1]
+            pruned, nonempty = gamma_preprocess(inst, q)
+            got, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
+            for ti, t in enumerate(pruned.types):
+                for ai, a in enumerate(inst.activities):
+                    sizes = {s for s in range(n + 1) if got[ti][ai] >> s & 1}
+                    assert sizes == t.prefs.sizes(a)
+            assert tuple(inst.activities[a] for a in a_ne) == nonempty
 
 
 # ---------------------------------------------------------------- incidence / compression

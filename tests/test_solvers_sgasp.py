@@ -125,6 +125,19 @@ def test_xp_t_non_perfect_branch():
     assert res.witness == x([1])
 
 
+def test_fpt_ta_activity_labels():
+    # Pins the activity label rule: {0} without a pattern edge, the
+    # intersection of the neighbours' pruned sizes otherwise, even when that
+    # is empty.  Nobody approves a, so the only stable outcome (t2 alone at
+    # b) leaves a edgeless.  With both types home, t1 and t2 share no pruned
+    # size at b; read as edgeless, that would let b, which t1 would start,
+    # stay empty.
+    inst = sgasp_instance(["a", "b"], [("t1", 1, {"b": {1}}), ("t2", 1, {"b": {1, 2}})])
+    res = solve_fpt_ta(inst)
+    assert res.exists and res.witness == x([0, 0], [0, 1])
+    assert oracle_sgasp(inst).witnesses == (res.witness,)
+
+
 def test_fpt_n_lonely_agent():
     inst = sgasp_instance(["a"], [("t1", 1, {})])
     res = solve_fpt_n(inst)
