@@ -283,7 +283,9 @@ def cmd_bench(args) -> int:
             branches = ""
             try:
                 with _Alarm(args.timeout):
-                    exists, _, stats = _run_alg(alg, inst, budget=args.budget)
+                    exists, _, stats = _run_alg(alg, inst, budget=args.budget,
+                                                max_agents=args.max_agents,
+                                                max_types=args.max_types)
                 answer = "yes" if exists else "no"
                 answers.add(answer)
                 branches = stats.get("branches", stats.get("explored", ""))
@@ -323,6 +325,15 @@ def _add_pc_args(p):
     p.add_argument("--planted", action="store_true", help="wire a clique in")
 
 
+def _add_run_args(p):
+    """The caps `_run_alg` hands to every algorithm."""
+    p.add_argument("--budget", type=_budget, help="enumeration cap for brute force")
+    p.add_argument("--max-agents", type=int, default=DEFAULT_AGENT_CAP,
+                   help="raise the structural cap of fpt-n")
+    p.add_argument("--max-types", type=int, default=DEFAULT_TYPE_CAP,
+                   help="raise the structural cap of xp-gasp")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gasplab",
                                      description="Exact solvers for group activity selection.")
@@ -333,11 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="instance file")
     p.add_argument("--witness", help="write the YES witness here")
     p.add_argument("--timeout", type=float, help="wall clock cap in seconds")
-    p.add_argument("--budget", type=_budget, help="enumeration cap for brute force")
-    p.add_argument("--max-agents", type=int, default=DEFAULT_AGENT_CAP,
-                   help="raise the structural cap of fpt-n")
-    p.add_argument("--max-types", type=int, default=DEFAULT_TYPE_CAP,
-                   help="raise the structural cap of xp-gasp")
+    _add_run_args(p)
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("verify", help="check a witness file")
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", required=True, help="comma-separated algorithm list")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.add_argument("--timeout", type=float, help="per-cell wall clock cap in seconds")
-    p.add_argument("--budget", type=_budget, help="enumeration cap for brute force")
+    _add_run_args(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

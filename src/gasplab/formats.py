@@ -149,6 +149,22 @@ def _require(doc, key, types, what="document"):
     return v
 
 
+def _lists(items, what):
+    """`items` (a list), checked to hold only lists."""
+    if not all(isinstance(x, list) for x in items):
+        _fail(f"{what} must be lists")
+    return items
+
+
+def _id_pairs(doc, key, what) -> frozenset:
+    pairs = set()
+    for e in _require(doc, key, list):
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
+            _fail(f"{what} {e!r} is not a pair of ids")
+        pairs.add((e[0], e[1]))
+    return frozenset(pairs)
+
+
 def _parse_types(doc, kind) -> tuple:
     built = []
     for rec in _require(doc, "types", list):
@@ -201,33 +217,24 @@ def doc_to_instance(doc) -> Instance:
                 _fail("agent record is not an object")
             agents.append((_require(rec, "id", str, "agent record"),
                            _require(rec, "type", str, "agent record")))
-        links = set()
-        for e in _require(doc, "links", list):
-            if not isinstance(e, list) or len(e) != 2:
-                _fail(f"link {e!r} is not a pair")
-            links.add((e[0], e[1]))
-        return NetworkInstance(base, tuple(agents), frozenset(links), meta=meta)
+        return NetworkInstance(base, tuple(agents), _id_pairs(doc, "links", "link"), meta=meta)
     if kind == "smpss":
         d = _require(doc, "d", int)
         target = _require(doc, "target", list)
         if d != len(target):
             _fail(f"d={d} but target has {len(target)} components")
-        sets = _require(doc, "sets", list)
+        sets = _lists(_require(doc, "sets", list), "sets")
         return SMPSSInstance(tuple(target),
-                             tuple(tuple(tuple(vec) for vec in p) for p in sets),
+                             tuple(tuple(tuple(vec) for vec in _lists(p, "vectors"))
+                                   for p in sets),
                              meta=meta)
     if kind == "pclique":
         k = _require(doc, "k", int)
-        parts = _require(doc, "parts", list)
+        parts = _lists(_require(doc, "parts", list), "parts")
         if k != len(parts):
             _fail(f"k={k} but {len(parts)} parts given")
-        edges = set()
-        for e in _require(doc, "edges", list):
-            if not isinstance(e, list) or len(e) != 2:
-                _fail(f"edge {e!r} is not a pair")
-            edges.add((e[0], e[1]))
         return PartitionedCliqueInstance(tuple(tuple(p) for p in parts),
-                                         frozenset(edges), meta=meta)
+                                         _id_pairs(doc, "edges", "edge"), meta=meta)
     _fail(f"unknown instance kind {kind!r}")
 
 

@@ -46,61 +46,76 @@ class SolveResult:
 
 def enumerate_acyclic_patterns(t_count: int, a_count: int,
                                q: Iterable[int] = (),
-                               a_ne: Iterable[int] = ()):
+                               a_ne: Iterable[int] = (),
+                               masks: Optional[Sequence[Sequence[int]]] = None):
     """All acyclic bipartite patterns compatible with (q, a_ne), each once,
     as (type, activity) edge tuples.  Every type in q and every activity in
     a_ne gets at least one incident edge.
 
-    Depth-first over the lexicographic edge list, skip-branch before
-    take-branch, with union-find pruning so cyclic subsets are never built.
+    The order is that of a depth-first walk over the lexicographic edge
+    list, skip-branch before take-branch: a pattern comes before the patterns
+    that extend it by later edges, and those come latest-edge first.  Cyclic
+    subsets are never built.
+
+    With `masks` (per type and activity, a bitmask of allowed sizes, as
+    `model.gamma_masks` returns them) only the patterns whose activity
+    labels, the AND of the neighbours' masks, are all nonzero are yielded,
+    in the same order.  Three cuts make that cheap, each dropping only
+    patterns that would not be yielded:
+
+    * an edge with mask 0 is never taken: its activity label would be 0;
+    * an edge that would make its activity's running label 0 is not taken
+      either: labels only shrink as edges are added, so every pattern
+      through it is rejected;
+    * once a type in q or an activity in a_ne is uncovered and has no edge
+      left to take, the branch ends: no pattern below it covers that vertex.
     """
-    q = frozenset(q)
-    a_ne = frozenset(a_ne)
-    edges = [(t, a) for t in range(t_count) for a in range(a_count)]
-    # union by size without path compression, so every union can be undone
-    parent = list(range(t_count + a_count))
-    size = [1] * len(parent)
-    chosen: List[Tuple[int, int]] = []
-    t_deg = [0] * t_count
-    a_deg = [0] * a_count
+    if masks is None:
+        masks = [[-1] * a_count for _ in range(t_count)]
+    edges = [(t, a) for t in range(t_count) for a in range(a_count) if masks[t][a]]
+    # vertices: type t is t, activity a is t_count + a.  last[v]: index of
+    # the last edge at the required vertex v, -1 if it has none
+    last = dict.fromkeys(list(q) + [t_count + a for a in a_ne], -1)
+    for i, (t, a) in enumerate(edges):
+        for v in (t, t_count + a):
+            if v in last:
+                last[v] = i
+    # stranded[j]: the required vertices without an edge at index j or later
+    stranded = [sum(1 << v for v, i in last.items() if i < j) for j in range(len(edges) + 1)]
+    need = stranded[-1]
 
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return None
-        if size[ru] > size[rv]:
-            ru, rv = rv, ru
-        parent[ru] = rv
-        size[rv] += size[ru]
-        return ru, rv
-
-    def rec(i):
-        if i == len(edges):
-            if all(t_deg[t] for t in q) and all(a_deg[a] for a in a_ne):
-                yield tuple(chosen)
-            return
-        yield from rec(i + 1)
-        t, a = edges[i]
-        undo = union(t, t_count + a)
-        if undo is None:
-            return  # edge closes a cycle; no superset can help either
-        chosen.append((t, a))
-        t_deg[t] += 1
-        a_deg[a] += 1
-        yield from rec(i + 1)
-        t_deg[t] -= 1
-        a_deg[a] -= 1
-        chosen.pop()
-        ru, rv = undo
-        parent[ru] = ru
-        size[rv] -= size[ru]
-
-    yield from rec(0)
+    top = len(edges) - 1
+    if not need:
+        yield ()
+    # one frame per pattern being extended: the next edge index to try
+    # (descending), the lowest index it may take, and the pattern with its
+    # state: a component id per vertex, the covered vertices as a bitmask,
+    # and the activity labels (-1: no neighbour yet)
+    stack = [[top, 0, (), list(range(t_count + a_count)), 0, [-1] * a_count]]
+    while stack:
+        frame = stack[-1]
+        j, lo, pat, comp, covered, labels = frame
+        while j >= lo:
+            # taking j must not skip the last edge of an uncovered required
+            # vertex, close a cycle, or empty the label of j's activity
+            if not stranded[j] & ~covered:
+                t, a = edges[j]
+                ct, ca = comp[t], comp[t_count + a]
+                label = labels[a] & masks[t][a]
+                if ct != ca and label:
+                    break
+            j -= 1
+        else:
+            stack.pop()
+            continue
+        frame[0] = j - 1
+        pat = pat + ((t, a),)
+        covered |= 1 << t | 1 << t_count + a
+        if not need & ~covered:
+            yield pat
+        labels = labels.copy()
+        labels[a] = label
+        stack.append([top, j + 1, pat, [ct if c == ca else c for c in comp], covered, labels])
 
 
 def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
@@ -111,6 +126,14 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
     activity labels never contain 0 and the assignment is re-verified.
     Labels are bitmasks, {0} for an activity without pattern edges; the
     patterns are forests, as the TSS kernel requires.
+
+    The enumerator gets the pruned masks of each Q, so it never builds a
+    pattern with an empty activity label, which TSS would reject, and ends a
+    branch once a Q type or must-use activity can no longer be covered; see
+    `enumerate_acyclic_patterns`.  The patterns left come in the unpruned
+    order, so the first feasible one, and with it the answer and the
+    witness, are those of the full sweep.  `branches` counts the patterns
+    handed to TSS.
     """
     _require_kind(inst, "sgasp")
     k = len(inst.types)
@@ -122,7 +145,7 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
         pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
         type_labels = [1 << t.count if q_mask >> i & 1 else (1 << t.count) - 1
                        for i, t in enumerate(inst.types)]
-        for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne):
+        for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne, pruned):
             branches += 1
             act_labels = [-1] * m  # -1: no neighbour yet
             for t, a in pat:

@@ -374,6 +374,18 @@ def test_bench_budget_marker(tmp_path, capsys):
     assert answers["fpt-ta"] == "yes"  # exact solver ignores the brute cap
 
 
+def test_bench_structural_caps(tmp_path, capsys):
+    # bench takes solve's --max-agents / --max-types and hands them on
+    three = sgasp_instance(["a1"], [("t1", 3, {"a1": {1, 3}})])
+    for alg, inst, cap, answer in (("fpt-n", three, ["--max-agents", "2"], "yes"),
+                                   ("xp-gasp", NO_GASP, ["--max-types", "1"], "no")):
+        suite = bench_suite(tmp_path, [inst])
+        for extra, code_want, cell in (([], 0, answer), (cap, 3, "budget")):
+            code, out, _ = run(capsys, "bench", "--suite", suite, "--alg", alg, *extra)
+            assert code == code_want
+            assert [r["answer"] for r in csv.DictReader(out.splitlines())] == [cell]
+
+
 def test_bench_algorithm_names_checked(tmp_path, capsys):
     suite = bench_suite(tmp_path, [YES_SGASP])
     code, out, err = run(capsys, "bench", "--suite", suite, "--alg", "fpt-ta,nope")
@@ -388,8 +400,8 @@ def test_bench_disagreement(tmp_path, capsys, monkeypatch):
     suite = bench_suite(tmp_path, [YES_SGASP])
     real = cli._run_alg
 
-    def lying(alg, inst, budget=None):
-        exists, w, stats = real(alg, inst, budget)
+    def lying(alg, inst, budget=None, **caps):
+        exists, w, stats = real(alg, inst, budget, **caps)
         if alg == "xp-t":
             return not exists, None, stats
         return exists, w, stats

@@ -126,6 +126,16 @@ def test_serialization_is_canonical():
     lambda d: d.update(kind="smpss", d=1, target=["2"], sets=[[[2]]]),
     lambda d: d.update(kind="smpss", d=1, target=[1], sets=[[[1.0]]]),
     lambda d: d.update(kind="pclique", k=1, parts=[[1, 2]], edges=[]),
+    # wrong nesting, which crashed with a TypeError or loaded a dict's keys
+    lambda d: d.update(kind="smpss", d=1, target=[1], sets=[5]),
+    lambda d: d.update(kind="pclique", k=1, parts=[5], edges=[]),
+    lambda d: d.update(kind="smpss", d=1, target=[1], sets=[[5]]),
+    lambda d: d.update(kind="pclique", k=1, parts=[{"u": 1}], edges=[]),
+    lambda d: d.update(kind="pclique", k=2, parts=[["u"], ["v"]], edges=[[["u"], ["v"]]]),
+    lambda d: d.update(kind="ggasp", types=[
+        {"id": "t1", "count": 2, "ranks": [[["a1", 2], 1], [["@empty", 1], 0]]}],
+        agents=[{"id": "x1", "type": "t1"}, {"id": "x2", "type": "t1"}],
+        links=[[["x1"], ["x2"]]]),
 ])
 def test_malformed_instance_docs(mangle):
     doc = formats.instance_to_doc(SGASP)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from gasplab.errors import BudgetError, InvalidInstanceError
 from gasplab.model import (
     TypeCountAssignment,
     TypedInstance,
+    approval_masks,
+    gamma_masks,
     incidence_graph,
     is_acyclic,
     verify_sgasp,
@@ -19,6 +22,7 @@ from gasplab.solvers_sgasp import (
     solve_fpt_ta,
     solve_xp_t,
 )
+from gasplab.subsetsum import _tss
 
 
 def x(*rows):
@@ -58,6 +62,117 @@ def test_pattern_compatibility_filter():
         assert any(a == 1 for _, a in pat)
     full = sum(1 for _ in enumerate_acyclic_patterns(2, 2))
     assert 0 < len(pats) < full
+
+
+def swept_patterns(t_count, a_count, q, a_ne, masks=None):
+    """Reference sweep: every edge subset, kept when it is acyclic, covers q
+    and a_ne and, with masks, leaves every activity label nonzero; in
+    skip-before-take order over the lexicographic edge list."""
+    edges = [(t, a) for t in range(t_count) for a in range(a_count)]
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(edges)):
+        pat = tuple(e for e, b in zip(edges, bits) if b)
+        if (not is_acyclic(pat) or not set(q) <= {t for t, _ in pat}
+                or not set(a_ne) <= {a for _, a in pat}):
+            continue
+        if masks is not None:
+            labels = [-1] * a_count
+            for t, a in pat:
+                labels[a] &= masks[t][a]
+            if not all(labels):
+                continue
+        out.append(pat)
+    return out
+
+
+def test_pruned_patterns_match_reference_sweep():
+    rng = random.Random(9303)
+    cut = 0
+    for _ in range(300):
+        t_count, a_count = rng.randint(0, 3), rng.randint(0, 3)
+        q = [t for t in range(t_count) if rng.random() < 0.4]
+        a_ne = [a for a in range(a_count) if rng.random() < 0.4]
+        masks = [[rng.choice((0, 1, 2, 3, 4, 6, 7)) for _ in range(a_count)]
+                 for _ in range(t_count)]
+        assert (list(enumerate_acyclic_patterns(t_count, a_count, q, a_ne))
+                == swept_patterns(t_count, a_count, q, a_ne))
+        want = swept_patterns(t_count, a_count, q, a_ne, masks)
+        assert list(enumerate_acyclic_patterns(t_count, a_count, q, a_ne, masks)) == want
+        cut += len(swept_patterns(t_count, a_count, q, a_ne)) - len(want)
+    assert cut > 1000  # the masks do empty labels
+
+
+def test_pattern_sweep_stops_at_stranded_vertex():
+    # Type 0 must be covered but every mask of its row is 0, so it has no
+    # edge.  The sweep ends at once: it reads no mask after the edge filter.
+    reads = []
+
+    class Row(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    masks = [Row([0] * 4)] + [Row([-1] * 4) for _ in range(3)]
+    assert list(enumerate_acyclic_patterns(4, 4, q=[0], masks=masks)) == []
+    assert len(reads) == 16
+
+
+def reference_fpt_ta(inst):
+    """fpt-ta without pruning: every pattern of every Q through the TSS
+    kernel; the counts of the first feasible one, or None."""
+    k, m = len(inst.types), len(inst.activities)
+    masks = approval_masks(inst)
+    for q_mask in range(1 << k):
+        q_idx = [i for i in range(k) if q_mask >> i & 1]
+        pruned, a_ne = gamma_masks(masks, [i for i in range(k) if i not in q_idx])
+        type_labels = [1 << t.count if i in q_idx else (1 << t.count) - 1
+                       for i, t in enumerate(inst.types)]
+        for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne):
+            labels = [-1] * m
+            for t, a in pat:
+                labels[a] &= pruned[t][a]
+            alpha = _tss(type_labels + [1 if lab < 0 else lab for lab in labels],
+                         [(t, k + a) for t, a in pat])
+            if alpha is not None:
+                rows = [[0] * m for _ in range(k)]
+                for (t, a), val in zip(pat, alpha):
+                    rows[t][a] = val
+                return tuple(tuple(r) for r in rows)
+    return None
+
+
+def test_fpt_ta_pruning_keeps_answers_and_witnesses():
+    rng = random.Random(9304)
+    no = 0
+    for i in range(200):
+        if i % 2:
+            inst = random_sgasp_laddered(rng, max_acts=3)
+        else:
+            inst = random_sgasp(rng, max_types=3, max_acts=3, max_count=3)
+        want = reference_fpt_ta(inst)
+        res = solve_fpt_ta(inst)
+        assert res.exists == (want is not None)
+        assert (res.witness and res.witness.counts) == want
+        no += want is None
+    assert no >= 10
+
+
+def test_fpt_ta_pruning_pin():
+    # C10's NO family at N=50 (|T|=3, |A|=3): the pruned sweep hands at most
+    # a fifth of the unpruned patterns, summed over all Q, to TSS
+    acts = ["a1", "a2", "a3"]
+    inst = sgasp_instance(acts, [("t1", 24, {a: {1} for a in acts}),
+                                 ("t1b", 25, {a: {1} for a in acts}),
+                                 ("t2", 1, {a: {2} for a in acts})])
+    masks = approval_masks(inst)
+    full = 0
+    for q_mask in range(8):
+        q_idx = [i for i in range(3) if q_mask >> i & 1]
+        _, a_ne = gamma_masks(masks, [i for i in range(3) if i not in q_idx])
+        full += sum(1 for _ in enumerate_acyclic_patterns(3, 3, q_idx, a_ne))
+    res = solve_fpt_ta(inst)
+    assert not res.exists
+    assert res.stats["branches"] * 5 <= full
 
 
 # ---------------------------------------------------------------------------
