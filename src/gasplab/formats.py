@@ -43,6 +43,7 @@ from .model import (
     SizeSetPrefs,
     TypeCountAssignment,
     TypedInstance,
+    _is_int,
 )
 
 INSTANCE_FORMAT = "gasplab-instance"
@@ -133,11 +134,6 @@ def serialize_instance(obj: Instance) -> str:
 
 def _fail(msg: str):
     raise InvalidInstanceError(msg)
-
-
-def _is_int(v) -> bool:
-    # JSON true/false load as bool, which Python counts as int
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _require(doc, key, types, what="document"):

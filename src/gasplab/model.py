@@ -28,6 +28,12 @@ EMPTY_ACTIVITY = "@empty"
 HOME = (EMPTY_ACTIVITY, 1)
 
 
+def _is_int(v) -> bool:
+    """Whether v is a plain int: floats are refused instead of truncated, and
+    bools (JSON true/false), which Python counts as ints, are refused too."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SizeSetPrefs:
     """Approved group sizes per activity.  Activities without an entry are
@@ -38,10 +44,13 @@ class SizeSetPrefs:
     def __post_init__(self):
         clean = {}
         for aid, sizes in dict(self.approvals).items():
-            sizes = frozenset(int(s) for s in sizes)
+            sizes = tuple(sizes)
             for s in sizes:
+                if not _is_int(s):
+                    raise InvalidInstanceError(f"approved size {s!r} for {aid!r} is not an int")
                 if s < 1:
                     raise InvalidInstanceError(f"approved size {s} for {aid!r} is not positive")
+            sizes = frozenset(sizes)
             if sizes:
                 clean[aid] = sizes
         object.__setattr__(self, "approvals", clean)
@@ -72,12 +81,13 @@ class RankMap:
         clean = {}
         for alt, r in dict(self.ranks).items():
             aid, size = alt
-            size = int(size)
+            if not _is_int(size) or not _is_int(r):
+                raise InvalidInstanceError(f"alternative {alt!r} has rank {r!r}; size and rank must be ints")
             if size < 1:
                 raise InvalidInstanceError(f"alternative {alt!r} has non-positive size")
             if aid == EMPTY_ACTIVITY and size != 1:
                 raise InvalidInstanceError("the home alternative only exists at size 1")
-            clean[(aid, size)] = int(r)
+            clean[(aid, size)] = r
         if HOME not in clean:
             raise InvalidInstanceError("rank map must rank the home alternative explicitly")
         object.__setattr__(self, "ranks", clean)
@@ -108,8 +118,8 @@ class AgentType:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InvalidInstanceError("type id must be a nonempty string")
-        if self.count < 1:
-            raise InvalidInstanceError(f"type {self.id!r} has count {self.count}, need >= 1")
+        if not _is_int(self.count) or self.count < 1:
+            raise InvalidInstanceError(f"type {self.id!r} has count {self.count!r}, need an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,12 @@ class TypeCountAssignment:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(tuple(int(c) for c in row) for row in self.counts))
+        counts = tuple(tuple(row) for row in self.counts)
+        for row in counts:
+            for c in row:
+                if not _is_int(c):
+                    raise InvalidAssignmentError(f"count {c!r} is not an int")
+        object.__setattr__(self, "counts", counts)
 
     def row_sum(self, t: int) -> int:
         return sum(self.counts[t])

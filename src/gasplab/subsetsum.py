@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .budget import WorkMeter, resolve_budget
 from .errors import InvalidInstanceError
-from .model import is_forest
+from .model import _is_int, is_forest
 
 
 def _mask(values: Iterable[int], top: int) -> int:
@@ -47,7 +47,7 @@ def _bits(mask: int) -> FrozenSet[int]:
 
 def _check_nonneg(values, what):
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not _is_int(v) or v < 0:
             raise InvalidInstanceError(f"{what} must be nonnegative integers, got {v!r}")
 
 

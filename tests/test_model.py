@@ -53,6 +53,15 @@ def test_instance_validation():
             AgentType("t1", 1, SizeSetPrefs({"a": frozenset({1})})),
             AgentType("t2", 1, RankMap({HOME: 0})),
         ))
+    # floats and bools are refused, not truncated
+    with pytest.raises(InvalidInstanceError):
+        SizeSetPrefs({"a": {1.5}})  # int() read this as size 1
+    with pytest.raises(InvalidInstanceError):
+        SizeSetPrefs({"a": {True}})
+    with pytest.raises(InvalidInstanceError):
+        AgentType("t", 1.5, SizeSetPrefs({"a": {1}}))
+    with pytest.raises(InvalidInstanceError):
+        AgentType("t", True, SizeSetPrefs({"a": {1}}))
 
 
 def test_rank_map_defaults():
@@ -64,6 +73,12 @@ def test_rank_map_defaults():
         RankMap({("a", 1): 5})  # home missing
     with pytest.raises(InvalidInstanceError):
         RankMap({HOME: 0, (EMPTY_ACTIVITY, 2): 1})
+    with pytest.raises(InvalidInstanceError):
+        RankMap({HOME: 0.5, ("a", 1): 0})  # int() tied home with ("a", 1)
+    with pytest.raises(InvalidInstanceError):
+        RankMap({HOME: 0, ("a", 1.0): 1})
+    with pytest.raises(InvalidInstanceError):
+        RankMap({HOME: True, ("a", 1): 0})
 
 
 def test_assignment_validation():
@@ -74,6 +89,10 @@ def test_assignment_validation():
         verify_sgasp(inst, x([2, 1]))  # row exceeds count
     with pytest.raises(InvalidAssignmentError):
         verify_sgasp(inst, x([-1, 0]))
+    with pytest.raises(InvalidAssignmentError):
+        x([1.7, 0])  # int() read this as 1
+    with pytest.raises(InvalidAssignmentError):
+        x([True, 0])
 
 
 # ---------------------------------------------------------------- verify_sgasp
