@@ -2,12 +2,15 @@
 
 The brute-force oracles refuse to enumerate past a step limit instead of
 hanging.  The limit comes from the explicit argument if given, then the
-GASPLAB_BUDGET environment variable, then the per-caller fallback.
+GASPLAB_BUDGET environment variable, then the per-caller fallback.  Both
+given forms must be an integer >= 1; anything else raises
+`InvalidSettingError`.
 """
 
 import os
 
 from .errors import BudgetError, InvalidSettingError
+from .model import _is_int
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -21,7 +24,11 @@ def parse_budget(text, source):
 
 def resolve_budget(budget=None, fallback=DEFAULT_BUDGET):
     if budget is not None:
-        return int(budget)
+        # the same >= 1 rule for an explicit value; floats, bools and strings
+        # are refused rather than coerced
+        if not _is_int(budget) or budget < 1:
+            raise InvalidSettingError(f"budget must be an integer >= 1, got {budget!r}")
+        return budget
     env = os.environ.get("GASPLAB_BUDGET", "").strip()
     if env:
         return parse_budget(env, "GASPLAB_BUDGET")

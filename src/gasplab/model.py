@@ -538,6 +538,11 @@ def approval_masks(inst: TypedInstance) -> list[list[int]]:
             for t in inst.types]
 
 
+def _rank_table(rm: RankMap, activities, n: int) -> list[list[int]]:
+    """rank[a][s] for sizes 0..n+1 (size 0 and n+1 are never ranked)."""
+    return [[rm.rank((aid, s)) for s in range(n + 2)] for aid in activities]
+
+
 def gamma_masks(masks: list[list[int]], home: Iterable[int]) -> tuple[list[list[int]], list[int]]:
     """`gamma_preprocess` on `approval_masks` output, for q the types not in
     `home` (indices): the pruned masks and the indices of must-use activities."""

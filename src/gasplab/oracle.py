@@ -35,6 +35,7 @@ from .model import (
     NetworkInstance,
     TypeCountAssignment,
     TypedInstance,
+    _rank_table,
     approval_masks,
     verify_gasp,
     verify_ggasp,
@@ -91,11 +92,6 @@ def _sgasp_kernel(inst: TypedInstance):
         return True
 
     return stable
-
-
-def _rank_table(rm, activities, n: int) -> list[list[int]]:
-    """rank[a][s] for sizes 0..n+1 (size 0 and n+1 are never ranked)."""
-    return [[rm.rank((aid, s)) for s in range(n + 2)] for aid in activities]
 
 
 def _gasp_kernel(inst: TypedInstance):

@@ -13,6 +13,15 @@ every stable assignment matching the guess yields a solution.  Guessed
 alternatives that fail the plain survivor filter need extra care (inline
 notes in `gtosg_reduce`); without it a feasible derived instance can map
 back to an assignment some residual agent deserts.
+
+`solve_xp_gasp` does not build derived instances.  It compiles the instance
+once into an int rank table rank[t][a][s] for s in 0..n+1 and per-guess
+bitmasks (`_guess_reducer`), applies `gtosg_reduce`'s rules to them, and
+hands the derived approval masks to `solvers_sgasp._ir_kernel`, the kernel
+`xp-t` uses too.  The idle column is the index past the real activities, so
+a real activity may be named like IDLE_ACTIVITY.  `gtosg_reduce`,
+`pull_back`, `MinimalGuess` and `DerivedSGasp` stay as the reference entry
+points the tests compare the int reduction against.
 """
 
 from __future__ import annotations
@@ -29,10 +38,12 @@ from .model import (
     SizeSetPrefs,
     TypeCountAssignment,
     TypedInstance,
+    _is_int,
+    _rank_table,
     _require_kind,
     verify_gasp,
 )
-from .solvers_sgasp import SolveResult, find_ir_assignment
+from .solvers_sgasp import SolveResult, _ir_kernel
 
 # Reserved activity standing for "stays home" in derived instances.
 IDLE_ACTIVITY = "@idle"
@@ -57,7 +68,11 @@ class MinimalGuess:
     choices: Mapping[str, Tuple[str, int]]
 
     def __post_init__(self):
-        clean = {str(t): (str(a), int(s)) for t, (a, s) in dict(self.choices).items()}
+        clean = {}
+        for t, (a, s) in dict(self.choices).items():
+            if not _is_int(s):
+                raise InvalidInstanceError(f"guess for {t!r} has size {s!r}, not an int")
+            clean[str(t)] = (str(a), s)
         object.__setattr__(self, "choices", clean)
 
     def activity(self, tid: str) -> str:
@@ -218,14 +233,113 @@ def _candidates(inst: TypedInstance, t: AgentType):
     return alts + [HOME]
 
 
+def _guess_reducer(inst: TypedInstance):
+    """`gtosg_reduce` compiled for one instance, on plain ints.
+
+    Returns (pools, caps, owner, reduce).  pools[t] is type t's guess pool
+    in `_candidates` order; each entry is (alternative, activity index (m,
+    the idle column, for home), pin label, successors, alone, accepted).
+    The pin label is the guessed size, or every size for home.  The rest
+    are bitmasks over sizes (bit s: size s) or activities, taken against
+    the entry's rank r:
+
+    * successors[a]: sizes i < n at a whose successor i+1 the type ranks
+      above r, the sizes it strikes;
+    * alone: the activities the type would enter alone, ranked above r;
+    * accepted[a]: the sizes at a ranked at least r, with the idle column
+      (all sizes, or none if home ranks below r) last.
+
+    caps are the counts of the derived types, a pin then, for counts above
+    one, a rest per source type, and owner[d] is derived type d's source
+    type; neither depends on the guess.
+    reduce(combo) takes one entry per type and returns the derived approval
+    masks (idle column last), the must-use activities as a bitmask, and the
+    consistency flag, each equal to what `gtosg_reduce` and `approval_masks`
+    give for that guess.
+    """
+    n, m = inst.n, len(inst.activities)
+    aidx = inst.activity_index()
+    every = (1 << n + 1) - 2  # sizes 1..n, the idle column's label
+    ranks = [_rank_table(t.prefs, inst.activities, n) for t in inst.types]
+    homes = [t.prefs.home_rank for t in inst.types]
+    pools = []
+    for t, rank, home in zip(inst.types, ranks, homes):
+        pool = []
+        for alt in _candidates(inst, t):
+            if alt == HOME:
+                a, pin, r = m, every, home
+            else:
+                a, pin = aidx[alt[0]], 1 << alt[1]
+                r = rank[a][alt[1]]
+            successors = [sum(1 << i for i in range(1, n) if row[i + 1] > r) for row in rank]
+            alone = sum(1 << b for b, row in enumerate(rank) if row[1] > r)
+            accepted = [sum(1 << i for i in range(1, n + 1) if row[i] >= r) for row in rank]
+            accepted.append(every if home >= r else 0)
+            pool.append((alt, a, pin, successors, alone, accepted))
+        pools.append(pool)
+    caps, owner = [], []
+    for ti, t in enumerate(inst.types):
+        caps.append(1)
+        owner.append(ti)
+        if t.count > 1:
+            caps.append(t.count - 1)
+            owner.append(ti)
+
+    def reduce(combo):
+        struck, guessed = [0] * m, [0] * m
+        a_ne = 0
+        for _, a, pin, successors, alone, _ in combo:
+            struck = [x | y for x, y in zip(struck, successors)]
+            a_ne |= alone
+            if a < m:
+                guessed[a] |= pin
+        removed = [g & x for g, x in zip(guessed, struck)]
+        consistent, floors = True, ()
+        if any(removed):
+            # a struck guess stays realizable only while no type pinned at
+            # another activity prefers its successor
+            consistent = not any(
+                removed[b] & successors[b]
+                for _, a, _, successors, _, _ in combo for b in range(m) if b != a)
+            floors = [(b, i) for b, mask in enumerate(removed)
+                      for i in range(1, n) if mask >> i & 1]
+        seats = [every & ~x | g for x, g in zip(struck, guessed)]
+        masks = []
+        for (_, a, pin, _, _, accepted), t, rank, home in zip(combo, inst.types, ranks, homes):
+            row = [0] * (m + 1)
+            row[a] = pin
+            masks.append(row)
+            if t.count == 1:
+                continue
+            rest = [acc & seat for acc, seat in zip(accepted, seats)]
+            rest.append(accepted[m])
+            # residual agents seated elsewhere must weakly prefer their seat
+            # to each struck-out alternative's successor; home is never at a
+            # struck-out activity, so every floor applies to it
+            for b, i in floors:
+                bar = rank[b][i + 1]
+                for c in range(m):
+                    if c != b:
+                        rest[c] &= sum(1 << j for j in range(1, n + 1) if rank[c][j] >= bar)
+                if home < bar:
+                    rest[m] = 0
+            masks.append(rest)
+        return masks, a_ne, consistent
+
+    return pools, caps, owner, reduce
+
+
 def solve_xp_gasp(inst: TypedInstance, *, max_types: int = DEFAULT_TYPE_CAP) -> SolveResult:
     """Decide whether a rank instance has a stable assignment.
 
     Enumerates minimal-alternative guesses in declaration order of the
-    types, best candidates first; the first feasible branch wins.  The
-    derived witness is mapped back and re-verified; a failed re-check is an
-    internal bug, never a NO.  Runs take |A|*n guesses per type, so the
-    type count is capped (override with max_types).
+    types, best candidates first; the first feasible branch wins.  Each
+    guess is reduced on the compiled rank table (`_guess_reducer`) and
+    decided by the shared `solvers_sgasp._ir_kernel` with every derived
+    type attending in full; no per-guess instance is built.  The derived
+    witness is mapped back as `pull_back` does and re-verified; a failed
+    re-check is an internal bug, never a NO.  Runs take |A|*n guesses per
+    type, so the type count is capped (override with max_types).
     """
     _require_kind(inst, "gasp")
     if len(inst.types) > max_types:
@@ -233,22 +347,28 @@ def solve_xp_gasp(inst: TypedInstance, *, max_types: int = DEFAULT_TYPE_CAP) -> 
             f"{len(inst.types)} types exceed the cap of {max_types}; raise max_types to override")
     if not inst.types:
         return SolveResult(True, TypeCountAssignment(()), {"branches": 0, "skipped": 0})
-    pools = [_candidates(inst, t) for t in inst.types]
+    m = len(inst.activities)
+    pools, caps, owner, reduce = _guess_reducer(inst)
+    find = _ir_kernel(caps)
+    everyone = (1 << len(caps)) - 1
     branches = skipped = 0
     for combo in itertools.product(*pools):
         branches += 1
-        guess = MinimalGuess({t.id: alt for t, alt in zip(inst.types, combo)})
-        der = gtosg_reduce(inst, guess)
-        if not der.consistent:
+        masks, a_ne, consistent = reduce(combo)
+        if not consistent:
             skipped += 1
             continue
-        picked = find_ir_assignment(der.instance, der.instance.type_ids(), der.a_ne)
-        if picked is None:
+        picks = find(masks, a_ne, everyone)
+        if picks is None:
             continue
-        witness = pull_back(inst, der, picked)
-        report = verify_gasp(inst, witness)
-        if not report.stable:
+        rows = [[0] * m for _ in inst.types]
+        for a in range(m):
+            for d, v in enumerate(picks[a]):
+                rows[owner[d]][a] += v
+        witness = TypeCountAssignment(tuple(tuple(r) for r in rows))
+        if not verify_gasp(inst, witness).stable:
+            guess = {t.id: entry[0] for t, entry in zip(inst.types, combo)}
             raise InternalSolverError(
-                f"derived solution for guess {guess.choices} maps back unstable")
+                f"derived solution for guess {guess} maps back unstable")
         return SolveResult(True, witness, {"branches": branches, "skipped": skipped})
     return SolveResult(False, None, {"branches": branches, "skipped": skipped})

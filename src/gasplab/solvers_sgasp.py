@@ -1,14 +1,15 @@
 """Exact deciders for size-approval instances.
 
 Three parameterizations of the same question (does a stable assignment
-exist), each built on the pruning of `model.gamma_preprocess` or of its
-bitmask form `model.gamma_masks`:
+exist), each built on `model.gamma_masks`, the bitmask form of the pruning
+in `model.gamma_preprocess`:
 
 * solve_fpt_ta: branch over the set Q of fully-attending types and over
   acyclic bipartite type-activity patterns, then solve a tree subset sum
   per pattern.  Fixed-parameter tractable in #types + #activities.
 * solve_xp_t: branch over Q only and solve a multidimensional subset sum
-  over per-activity contribution vectors.  XP in #types.
+  over per-activity contribution vectors (`_ir_kernel`, shared with
+  `solver_gasp.solve_xp_gasp`).  XP in #types.
 * solve_fpt_n: branch over the set of home agents and every partition of
   the rest into groups, then look for a saturating group-activity matching
   via a small flow network.  Fixed-parameter tractable in #agents.
@@ -22,17 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BudgetError, InternalSolverError
+from .errors import BudgetError, InternalSolverError, InvalidInstanceError
 from .model import (
     TypeCountAssignment,
     TypedInstance,
     _require_kind,
     approval_masks,
     gamma_masks,
-    gamma_preprocess,
     verify_sgasp,
 )
-from .subsetsum import VectorFamily, _tss, solve_mpss
+from .subsetsum import _MixedRadix, _mpss, _mpss_witness, _tss
 
 DEFAULT_AGENT_CAP = 10
 
@@ -189,65 +189,133 @@ def _activity_vectors(total: int, allowed: Sequence[int], caps: Sequence[int],
     return out
 
 
+def _ir_kernel(caps: Sequence[int]):
+    """The perfect-IR decider behind `find_ir_assignment`, compiled for one
+    solve: `find(masks, a_ne, q_mask)` on approval masks (bit s of
+    masks[t][a]: type t approves size s at a) returns one k-vector per
+    activity, the attendance of each type there, or None.  Exactly the types
+    in the bitmask q_mask attend in full, and every activity in the bitmask
+    a_ne is nonempty.
+
+    One vector set per activity: for each size p someone approves, every
+    split of p agents over the types approving p; the zero vector stands
+    for leaving the activity empty and is withheld from a_ne members.  Sets
+    are sorted and deduplicated as `VectorFamily` does, and folded by the
+    MPSS kernel on one mixed-radix table over the caps (counts per type).
+    The capped vector sums reachable with one pick per activity are exactly
+    the per-type attendance totals.  The final table is filtered to the
+    sums whose full/not-full pattern is q before anything is decoded; the
+    smallest such target in tuple order is taken and its witness rebuilt
+    with `subsetsum._mpss_witness`, which is `solve_mpss`'s rule.
+
+    The caps stay fixed within a solve, so the closure memoizes the vector
+    set per (mask column, must-use flag) and each vector's (position, geq
+    mask); nothing outlives the closure.
+    """
+    k = len(caps)
+    caps = tuple(caps)
+    radix = _MixedRadix(caps) if k else None
+    vec_memo: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    set_memo: Dict[Tuple[Tuple[int, ...], int], tuple] = {}
+
+    def vector_set(column, must):
+        key = (column, must)
+        got = set_memo.get(key)
+        if got is None:
+            vecs: List[Tuple[int, ...]] = []
+            sizes = 0
+            for mk in column:
+                sizes |= mk
+            while sizes:
+                low = sizes & -sizes
+                sizes ^= low
+                p = low.bit_length() - 1
+                allowed = [i for i, mk in enumerate(column) if mk >> p & 1]
+                vecs.extend(_activity_vectors(p, allowed, caps, k))
+            if not must:
+                vecs.append((0,) * k)
+            vecs = sorted(set(vecs))
+            pairs = []
+            for vec in vecs:
+                pg = vec_memo.get(vec)
+                if pg is None:
+                    pg = vec_memo[vec] = (radix.position(vec), radix.geq_mask(vec))
+                pairs.append(pg)
+            got = set_memo[key] = (vecs, pairs)
+        return got
+
+    def find(masks, a_ne, q_mask):
+        if not k:
+            # nobody to send anywhere; feasible iff nothing must be nonempty
+            return None if a_ne else []
+        sets = [vector_set(col, a_ne >> a & 1) for a, col in enumerate(zip(*masks))]
+        pairs = [p for _, p in sets]
+        prefixes = _mpss(pairs)
+        table = prefixes[-1]
+        for i, c in enumerate(caps):
+            full = radix._component_geq(i, c)
+            table &= full if q_mask >> i & 1 else ~full
+        if not table:
+            return None
+        if table & (table - 1):
+            # several targets: the smallest in tuple order, digit by digit
+            for i, c in enumerate(caps):
+                for v in range(c):
+                    low = table & ~radix._component_geq(i, v + 1)
+                    if low:
+                        table = low
+                        break
+        picks = _mpss_witness(pairs, prefixes, table.bit_length() - 1)
+        return [vecs[j] for (vecs, _), j in zip(sets, picks)]
+
+    return find
+
+
+def _columns_to_rows(picks, k: int) -> TypeCountAssignment:
+    """One attendance vector per activity, transposed to a type-count matrix."""
+    return TypeCountAssignment(tuple(tuple(vec[i] for vec in picks) for i in range(k)))
+
+
 def find_ir_assignment(inst: TypedInstance, q: Iterable[str],
                        a_ne: Iterable[str]) -> Optional[TypeCountAssignment]:
     """An individually rational assignment where exactly the types in q
     attend in full and every activity in a_ne is nonempty, or None.
 
-    One vector set per activity: for each size p someone approves, every
-    split of p agents over the types approving p; the zero vector stands
-    for leaving the activity empty and is withheld from a_ne members.  The
-    capped vector sums reachable with one pick per activity are exactly the
-    per-type attendance totals, so a target is accepted iff it matches q.
+    The validated entry point of `_ir_kernel`: names are checked against
+    the instance, then the kernel runs once on its approval masks.
     """
-    q = frozenset(q)
-    a_ne = frozenset(a_ne)
-    k = len(inst.types)
-    if k == 0:
-        # nobody to send anywhere; feasible iff nothing must be nonempty
-        return None if a_ne else TypeCountAssignment(())
-    caps = [t.count for t in inst.types]
-    prefs = [t.prefs for t in inst.types]
-    sets = []
-    for a in inst.activities:
-        vecs: List[Tuple[int, ...]] = []
-        sizes = set()
-        for p in prefs:
-            sizes |= p.sizes(a)
-        for p_size in sorted(sizes):
-            allowed = [i for i in range(k) if prefs[i].approves(a, p_size)]
-            vecs.extend(_activity_vectors(p_size, allowed, caps, k))
-        if a not in a_ne:
-            vecs.append((0,) * k)
-        sets.append(vecs)
-    fam = VectorFamily(k, caps, sets)
-    res = solve_mpss(fam)
-    for target in sorted(res.targets):
-        if any((t.id in q) != (target[i] == t.count)
-               for i, t in enumerate(inst.types)):
-            continue
-        picks = res.witness(target)
-        rows = [[0] * len(inst.activities) for _ in range(k)]
-        for a, vec in enumerate(picks):
-            for i in range(k):
-                rows[i][a] = vec[i]
-        return TypeCountAssignment(tuple(tuple(r) for r in rows))
-    return None
+    _require_kind(inst, "sgasp")
+    tindex = inst.type_index()
+    aindex = inst.activity_index()
+    q, a_ne = set(q), set(a_ne)
+    unknown = sorted(q - set(tindex)) + sorted(a_ne - set(aindex))
+    if unknown:
+        raise InvalidInstanceError(f"unknown type or activity ids: {unknown}")
+    find = _ir_kernel([t.count for t in inst.types])
+    picks = find(approval_masks(inst), sum(1 << aindex[a] for a in a_ne),
+                 sum(1 << tindex[t] for t in q))
+    return None if picks is None else _columns_to_rows(picks, len(inst.types))
 
 
 def solve_xp_t(inst: TypedInstance) -> SolveResult:
-    """Q branching plus multidimensional subset sum over activity vectors."""
+    """Q branching plus multidimensional subset sum over activity vectors.
+
+    The approval masks are built once; each Q prunes them with
+    `model.gamma_masks` and runs the shared `_ir_kernel`, whose caps (the
+    type counts) are the same for every Q.
+    """
     _require_kind(inst, "sgasp")
     k = len(inst.types)
-    tids = inst.type_ids()
+    masks = approval_masks(inst)
+    find = _ir_kernel([t.count for t in inst.types])
     branches = 0
     for q_mask in range(1 << k):
         branches += 1
-        q_ids = frozenset(tids[i] for i in range(k) if q_mask >> i & 1)
-        pruned, a_ne = gamma_preprocess(inst, q_ids)
-        x = find_ir_assignment(pruned, q_ids, a_ne)
-        if x is None:
+        pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
+        picks = find(pruned, sum(1 << a for a in a_ne), q_mask)
+        if picks is None:
             continue
+        x = _columns_to_rows(picks, k)
         if not verify_sgasp(inst, x).stable:
             raise InternalSolverError(
                 "Q-branch witness failed re-verification; this is a bug")

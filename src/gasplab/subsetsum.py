@@ -298,12 +298,12 @@ class VectorFamily:
     sets: Tuple[Tuple[Tuple[int, ...], ...], ...]
 
     def __init__(self, k, caps, sets=()):
-        if k < 1:
-            raise InvalidInstanceError("dimension must be >= 1")
-        if isinstance(caps, int):
-            caps = (caps,) * k
-        caps = tuple(int(c) for c in caps)
-        if len(caps) != k or any(c < 0 for c in caps):
+        if not _is_int(k) or k < 1:
+            raise InvalidInstanceError(f"dimension must be an int >= 1, got {k!r}")
+        # a scalar cap applies to every component; non-ints fail the check below
+        caps = tuple(caps) if isinstance(caps, (list, tuple)) else (caps,) * k
+        _check_nonneg(caps, "caps")
+        if len(caps) != k:
             raise InvalidInstanceError(f"need {k} nonnegative caps, got {caps!r}")
         norm = []
         for p_i in sets:
@@ -387,21 +387,51 @@ class _MixedRadix:
         return m
 
 
-def _mpss_fold(d: int, p_set, radix: _MixedRadix) -> int:
-    out = 0
-    for vec in p_set:
-        if any(v > c for v, c in zip(vec, radix.caps)):
-            continue
-        out |= (d << radix.position(vec)) & radix.geq_mask(vec)
-    return out
+def _mpss(sets: Sequence[Sequence[Tuple[int, int]]]) -> List[int]:
+    """MPSS kernel on one `_MixedRadix`: each set is given as the
+    (position, geq_mask) pairs of its vectors.  Returns the prefix tables:
+    bit p of prefixes[i] means the vector at position p is a sum of one
+    vector from each of sets 0..i-1 (prefixes[0] = 1, the zero vector).
+    Stops after the first empty table, since every later one is empty too.
+    Unchecked precondition: every vector lies inside the caps.
+    """
+    prefixes = [1]
+    for pairs in sets:
+        d = prefixes[-1]
+        out = 0
+        for pos, geq in pairs:
+            out |= (d << pos) & geq
+        prefixes.append(out)
+        if not out:
+            break
+    return prefixes
+
+
+def _mpss_witness(sets: Sequence[Sequence[Tuple[int, int]]], prefixes: Sequence[int],
+                  pos: int) -> List[int]:
+    """Per set, the index of the vector picked for a sum at position `pos`
+    of the last table: the first workable one at each set, walking last set
+    to first.  A vector is workable if it fits under the rest (its geq mask
+    holds `pos`) and the rest minus it is reachable before its set."""
+    picks = [0] * len(sets)
+    for i in reversed(range(len(sets))):
+        for j, (p, geq) in enumerate(sets[i]):
+            if geq >> pos & 1 and prefixes[i] >> (pos - p) & 1:
+                picks[i] = j
+                pos -= p
+                break
+        else:
+            raise AssertionError("witness extraction lost feasibility")
+    return picks
 
 
 def solve_mpss(fam: VectorFamily) -> MPSSResult:
     """All t in [0,caps]^k writable as a sum with exactly one vector per set."""
     radix = _MixedRadix(fam.caps)
-    prefixes = [1]  # prefixes[i]: the table after sets 0..i-1; 1 is the zero vector
-    for p_set in fam.sets:
-        prefixes.append(_mpss_fold(prefixes[-1], p_set, radix))
+    kept = [[vec for vec in p_set if all(v <= c for v, c in zip(vec, fam.caps))]
+            for p_set in fam.sets]
+    sets = [[(radix.position(vec), radix.geq_mask(vec)) for vec in vecs] for vecs in kept]
+    prefixes = _mpss(sets)
     targets = set()
     m = prefixes[-1]
     while m:
@@ -410,20 +440,8 @@ def solve_mpss(fam: VectorFamily) -> MPSSResult:
         m &= m - 1
 
     def resolver(target):
-        chosen: List[Tuple[int, ...]] = [None] * len(fam.sets)  # type: ignore
-        rest = target
-        for i in reversed(range(len(fam.sets))):
-            for vec in fam.sets[i]:
-                if any(r < v for r, v in zip(rest, vec)):
-                    continue
-                before = tuple(r - v for r, v in zip(rest, vec))
-                if (prefixes[i] >> radix.position(before)) & 1:
-                    chosen[i] = vec
-                    rest = before
-                    break
-            else:
-                raise AssertionError("witness extraction lost feasibility")
-        return tuple(chosen)
+        picks = _mpss_witness(sets, prefixes, radix.position(target))
+        return tuple(vecs[j] for vecs, j in zip(kept, picks))
 
     return MPSSResult(frozenset(targets), any(not s for s in fam.sets), resolver)
 

@@ -15,6 +15,8 @@ from gasplab.model import (
     TypeCountAssignment,
     TypedInstance,
 )
+from gasplab.solvers_sgasp import _activity_vectors
+from gasplab.subsetsum import VectorFamily, solve_mpss
 
 
 def sgasp_instance(activities, types):
@@ -169,6 +171,33 @@ def random_network(rng, max_acts=2, max_agents=4, complete=False):
         if complete or rng.random() < 0.6:
             links.add((u, v))
     return NetworkInstance(base, tuple(agents), frozenset(links))
+
+
+def ir_reference(inst, q, a_ne):
+    """Set-form perfect-IR decider, kept as the reference for the mask
+    kernel: one `VectorFamily` per call, `solve_mpss`, every target decoded
+    and the smallest one in tuple order whose full types are exactly q
+    taken.  Returns the type-count rows, or None."""
+    k = len(inst.types)
+    if k == 0:
+        return None if a_ne else ()
+    caps = [t.count for t in inst.types]
+    sets = []
+    for a in inst.activities:
+        vecs = []
+        sizes = set().union(*(t.prefs.sizes(a) for t in inst.types))
+        for p in sorted(sizes):
+            allowed = [i for i, t in enumerate(inst.types) if t.prefs.approves(a, p)]
+            vecs.extend(_activity_vectors(p, allowed, caps, k))
+        if a not in a_ne:
+            vecs.append((0,) * k)
+        sets.append(vecs)
+    res = solve_mpss(VectorFamily(k, caps, sets))
+    for target in sorted(res.targets):
+        if all((t.id in q) == (target[i] == t.count) for i, t in enumerate(inst.types)):
+            picks = res.witness(target)
+            return tuple(tuple(vec[i] for vec in picks) for i in range(k))
+    return None
 
 
 # One line per acceptance criterion, echoed after the test summary so the

@@ -14,7 +14,7 @@ from conftest import (
     random_sgasp_laddered,
     sgasp_instance,
 )
-from gasplab.errors import BudgetError
+from gasplab.errors import BudgetError, InvalidSettingError
 from gasplab.model import (
     EMPTY_ACTIVITY,
     HOME,
@@ -37,6 +37,7 @@ from gasplab.oracle import (
 )
 from gasplab.solver_gasp import solve_xp_gasp
 from gasplab.solvers_sgasp import solve_fpt_n, solve_fpt_ta, solve_xp_t
+from gasplab.subsetsum import PSSInstance, brute_pss
 
 
 def x(*rows):
@@ -244,6 +245,16 @@ def test_oracle_explicit_budget_beats_env(monkeypatch):
     monkeypatch.setenv("GASPLAB_BUDGET", "100")
     with pytest.raises(BudgetError, match="cap is 1"):
         oracle_sgasp(inst, budget=1)
+
+
+@pytest.mark.parametrize("budget", [0, -3, 2.7, True, "5"])
+def test_explicit_budget_must_be_int_at_least_one(budget):
+    # refused, not read as an exhausted budget or coerced to an int
+    inst = sgasp_instance(["a"], [("t1", 2, {"a": {2}})])
+    with pytest.raises(InvalidSettingError):
+        oracle_sgasp(inst, budget=budget)
+    with pytest.raises(InvalidSettingError):
+        brute_pss(PSSInstance({5}, [{2, 3}]), budget=budget)
 
 
 # ---------------------------------------- stability kernels against verify_*

@@ -5,17 +5,20 @@ import pytest
 
 from conftest import (
     gasp_instance,
+    ir_reference,
     lift_sgasp,
     random_gasp,
     random_gasp_windowed,
     random_sgasp,
     sgasp_instance,
 )
+from gasplab import cli, formats
 from gasplab.errors import BudgetError, InvalidInstanceError
 from gasplab.model import (
     EMPTY_ACTIVITY,
     HOME,
     TypeCountAssignment,
+    approval_masks,
     verify_gasp,
     verify_gasp_minimal,
 )
@@ -24,11 +27,12 @@ from gasplab.solver_gasp import (
     IDLE_ACTIVITY,
     MinimalGuess,
     _candidates,
+    _guess_reducer,
     gtosg_reduce,
     pull_back,
     solve_xp_gasp,
 )
-from gasplab.solvers_sgasp import find_ir_assignment, solve_fpt_ta
+from gasplab.solvers_sgasp import _ir_kernel, find_ir_assignment, solve_fpt_ta
 
 
 def x(rows):
@@ -188,6 +192,9 @@ def test_reduce_validates_guesses():
         gtosg_reduce(inst, MinimalGuess({"t": (EMPTY_ACTIVITY, 2)}))
     with pytest.raises(InvalidInstanceError):  # must cover exactly the types
         gtosg_reduce(inst, MinimalGuess({}))
+    for size in (1.5, True, "1"):  # refused, not truncated to an int
+        with pytest.raises(InvalidInstanceError):
+            MinimalGuess({"t": ("a", size)})
     # tied with home is a valid guess: it pins an agent, unlike HOME
     tied = gtosg_reduce(gasp_instance(["a"], [("t", 2, {("a", 1): 0})]),
                         MinimalGuess({"t": ("a", 1)}))
@@ -200,6 +207,73 @@ def test_reduce_rejects_idle_collision():
     inst = gasp_instance([IDLE_ACTIVITY], [("t", 1, {(IDLE_ACTIVITY, 1): 1})])
     with pytest.raises(InvalidInstanceError):
         gtosg_reduce(inst, MinimalGuess({"t": HOME}))
+
+
+def test_xp_gasp_accepts_idle_activity(tmp_path, capsys):
+    # the derived idle column is an index past the real activities, so a
+    # real activity may carry the reserved name
+    inst = gasp_instance([IDLE_ACTIVITY, "b"], [("t", 1, {(IDLE_ACTIVITY, 1): 2})])
+    res = solve_xp_gasp(inst)
+    assert res.exists == oracle_gasp(inst).exists is True
+    assert res.witness == x([[1, 0]]) and verify_gasp(inst, res.witness).stable
+    path = str(tmp_path / "idle.json")
+    formats.save_instance(inst, path)
+    assert cli.main(["solve", "--alg", "xp-gasp", "--in", path]) == 0
+    assert '"@idle": 1' in capsys.readouterr().out
+
+
+def _reference_masks(inst, der):
+    """The derived approval masks with the idle column last, and a_ne as a
+    bitmask over the source activities."""
+    aidx = inst.activity_index()
+    return approval_masks(der.instance), sum(1 << aidx[a] for a in der.a_ne)
+
+
+def test_int_reduction_and_kernel_match_reference_per_guess():
+    # every guess of the full product, with no early exit: the int
+    # reduction equals gtosg_reduce + approval_masks, and the shared kernel
+    # equals find_ir_assignment and the set-form reference on the derived
+    # instance, witness included
+    rng = random.Random(9420)
+    insts = [random_gasp(rng, max_types=3, max_acts=2, max_count=3) for _ in range(50)]
+    insts += [random_gasp_windowed(rng, max_types=3, max_acts=2, max_count=2) for _ in range(30)]
+    insts += [lift_sgasp(random_sgasp(rng, max_types=3, max_acts=2, max_count=2))
+              for _ in range(20)]
+    insts += [gasp_instance([], [("t", 2, {}), ("u", 1, {})]), NO_FIXTURE]
+    seen = {"tie": 0, "count1": 0, "no_acts": 0, "struck_ok": 0, "struck_bad": 0, "found": 0}
+    for inst in insts:
+        pools, caps, owner, reduce = _guess_reducer(inst)
+        assert [[e[0] for e in pool] for pool in pools] == [
+            list(_candidates(inst, t)) for t in inst.types]
+        find = _ir_kernel(caps)
+        seen["count1"] += any(t.count == 1 for t in inst.types)
+        seen["no_acts"] += not inst.activities
+        for combo in itertools.product(*pools):
+            alts = [e[0] for e in combo]
+            guess = MinimalGuess({t.id: alt for t, alt in zip(inst.types, alts)})
+            der = gtosg_reduce(inst, guess)
+            masks, a_ne, consistent = reduce(combo)
+            assert (masks, a_ne) == _reference_masks(inst, der)
+            assert consistent == der.consistent
+            assert caps == [t.count for t in der.instance.types]
+            assert [inst.type_index()[der.origin[d]] for d in der.instance.type_ids()] == owner
+            seen["tie"] += any(alt != HOME and t.prefs.rank(alt) == t.prefs.home_rank
+                               for t, alt in zip(inst.types, alts))
+            if der.removed:
+                seen["struck_ok" if consistent else "struck_bad"] += 1
+            if not consistent:
+                continue
+            picks = find(masks, a_ne, (1 << len(caps)) - 1)
+            want = find_ir_assignment(der.instance, der.instance.type_ids(), der.a_ne)
+            ref = ir_reference(der.instance, set(der.instance.type_ids()), der.a_ne)
+            assert ref == (want.counts if want else None)
+            if picks is None:
+                assert want is None
+                continue
+            seen["found"] += 1
+            rows = tuple(tuple(vec[d] for vec in picks) for d in range(len(caps)))
+            assert rows == want.counts
+    assert all(v > 0 for v in seen.values()), seen
 
 
 def test_reduce_type_count_bound():

@@ -3,19 +3,21 @@ import random
 
 import pytest
 
-from conftest import random_sgasp, random_sgasp_laddered, sgasp_instance
+from conftest import ir_reference, random_sgasp, random_sgasp_laddered, sgasp_instance
 from gasplab.errors import BudgetError, InvalidInstanceError
 from gasplab.model import (
     TypeCountAssignment,
     TypedInstance,
     approval_masks,
     gamma_masks,
+    gamma_preprocess,
     incidence_graph,
     is_acyclic,
     verify_sgasp,
 )
 from gasplab.oracle import oracle_sgasp
 from gasplab.solvers_sgasp import (
+    _ir_kernel,
     enumerate_acyclic_patterns,
     find_ir_assignment,
     solve_fpt_n,
@@ -276,6 +278,38 @@ def test_find_ir_assignment_respects_q_and_a_ne():
     # both activities nonempty needs both agents out, i.e. a perfect q
     assert find_ir_assignment(inst, [], ["a", "b"]) is None
     assert find_ir_assignment(inst, ["t1"], ["a", "b"]) == x([1, 1])
+    for q, a_ne in ((["t9"], []), ([], ["z"])):  # unknown names are refused
+        with pytest.raises(InvalidInstanceError):
+            find_ir_assignment(inst, q, a_ne)
+
+
+def test_ir_kernel_matches_reference_per_q():
+    # every Q of xp-t, with no early exit: the kernel on gamma_masks equals
+    # find_ir_assignment on gamma_preprocess and the set-form reference
+    rng = random.Random(9320)
+    insts = [random_sgasp(rng, max_types=3, max_acts=3, max_count=3) for _ in range(40)]
+    insts += [random_sgasp_laddered(rng) for _ in range(40)]
+    insts += [sgasp_instance([], [("t", 2, {})]), sgasp_instance(["a"], [])]
+    found = 0
+    for inst in insts:
+        k = len(inst.types)
+        tids = inst.type_ids()
+        masks = approval_masks(inst)
+        find = _ir_kernel([t.count for t in inst.types])
+        for q_mask in range(1 << k):
+            q_ids = {tids[i] for i in range(k) if q_mask >> i & 1}
+            pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
+            picks = find(pruned, sum(1 << a for a in a_ne), q_mask)
+            pinst, ne_ids = gamma_preprocess(inst, q_ids)
+            assert ne_ids == tuple(inst.activities[a] for a in a_ne)
+            want = find_ir_assignment(pinst, q_ids, ne_ids)
+            assert ir_reference(pinst, q_ids, ne_ids) == (want.counts if want else None)
+            if picks is None:
+                assert want is None
+                continue
+            found += 1
+            assert tuple(tuple(vec[i] for vec in picks) for i in range(k)) == want.counts
+    assert found > 100
 
 
 # ---------------------------------------------------------------------------

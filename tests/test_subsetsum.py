@@ -131,6 +131,16 @@ def test_mpss_witness_reconstruction():
         res.witness((0, 0))
 
 
+def test_vector_family_rejects_non_ints():
+    for k, caps, sets in [(1, [1.5], []), (1, True, []), (2, ["3", 1], []),
+                          (1, 2.0, []), (1.0, 2, []), (1, 2, [[(1.5,)]]),
+                          (1, 2, [[(True,)]])]:
+        with pytest.raises(InvalidInstanceError):
+            VectorFamily(k, caps, sets)
+    assert VectorFamily(2, 3, []).caps == (3, 3)
+    assert VectorFamily(2, (1, 3), []).caps == (1, 3)
+
+
 def test_mpss_per_component_caps():
     fam = VectorFamily(2, (1, 3), [[(1, 0), (0, 2)], [(1, 0), (0, 1)]])
     # (2,0) exceeds cap 1 in the first component and must be dropped
