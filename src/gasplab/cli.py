@@ -126,6 +126,25 @@ def _budget(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _cap(text):
+    """A structural cap: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _timeout(text):
+    """Seconds for `_Alarm`: a number in [0, 1e9], 0 meaning no cap; setitimer
+    overflows past 2**31 s where time_t has 32 bits."""
+    try:
+        if 0 <= float(text) <= 1e9:  # refuses nan and inf too
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a number of seconds in [0, 1e9] (0: no cap), got {text!r}")
+
+
 def _render_witness(inst, witness):
     if witness is None:
         return None
@@ -328,9 +347,9 @@ def _add_pc_args(p):
 def _add_run_args(p):
     """The caps `_run_alg` hands to every algorithm."""
     p.add_argument("--budget", type=_budget, help="enumeration cap for brute force")
-    p.add_argument("--max-agents", type=int, default=DEFAULT_AGENT_CAP,
+    p.add_argument("--max-agents", type=_cap, default=DEFAULT_AGENT_CAP,
                    help="raise the structural cap of fpt-n")
-    p.add_argument("--max-types", type=int, default=DEFAULT_TYPE_CAP,
+    p.add_argument("--max-types", type=_cap, default=DEFAULT_TYPE_CAP,
                    help="raise the structural cap of xp-gasp")
 
 
@@ -343,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", required=True, choices=sorted(ALGORITHMS))
     p.add_argument("--in", dest="input", required=True, help="instance file")
     p.add_argument("--witness", help="write the YES witness here")
-    p.add_argument("--timeout", type=float, help="wall clock cap in seconds")
+    p.add_argument("--timeout", type=_timeout, help="wall clock cap in seconds (0: none)")
     _add_run_args(p)
     p.set_defaults(func=cmd_solve)
 
@@ -390,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, help="text file, one instance path per line")
     p.add_argument("--alg", required=True, help="comma-separated algorithm list")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
-    p.add_argument("--timeout", type=float, help="per-cell wall clock cap in seconds")
+    p.add_argument("--timeout", type=_timeout, help="per-cell wall clock cap in seconds (0: none)")
     _add_run_args(p)
     p.set_defaults(func=cmd_bench)
 

@@ -10,9 +10,9 @@ in `model.gamma_preprocess`:
 * solve_xp_t: branch over Q only and solve a multidimensional subset sum
   over per-activity contribution vectors (`_ir_kernel`, shared with
   `solver_gasp.solve_xp_gasp`).  XP in #types.
-* solve_fpt_n: branch over the set of home agents and every partition of
-  the rest into groups, then look for a saturating group-activity matching
-  via a small flow network.  Fixed-parameter tractable in #agents.
+* solve_fpt_n: branch over home sets and partitions of the rest into
+  groups, then match groups to activities they fit, using every must-use
+  one, as a padded perfect bipartite matching.  FPT in #agents.
 
 All three re-verify their witnesses; a failed re-check is an internal bug,
 never a NO.
@@ -21,7 +21,7 @@ never a NO.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InternalSolverError, InvalidInstanceError
 from .model import (
@@ -349,71 +349,32 @@ def _partitions(items: Sequence[int]):
     yield from rec(0)
 
 
-def _max_flow(n_nodes: int, arcs: List[List[int]], source: int, sink: int) -> int:
-    """Edmonds-Karp on an adjacency-matrix capacity table (tiny graphs)."""
-    flow = 0
-    while True:
-        prev = [-1] * n_nodes
-        prev[source] = source
-        queue = [source]
-        while queue and prev[sink] == -1:
-            u = queue.pop(0)
-            for v in range(n_nodes):
-                if prev[v] == -1 and arcs[u][v] > 0:
-                    prev[v] = u
-                    queue.append(v)
-        if prev[sink] == -1:
-            return flow
-        # push a single unit per augmentation; the graphs are tiny
-        v = sink
-        while v != source:
-            u = prev[v]
-            arcs[u][v] -= 1
-            arcs[v][u] += 1
-            v = u
-        flow += 1
+def _augment(r: int, rows: Sequence[int], owner: List[int], seen: List[int]) -> bool:
+    """Kuhn's step: match row r to an activity in rows[r], re-routing rows
+    already matched, without revisiting an activity in the mask seen[0]."""
+    while free := rows[r] & ~seen[0]:
+        low = free & -free
+        seen[0] |= low
+        a = low.bit_length() - 1
+        if owner[a] < 0 or _augment(owner[a], rows, owner, seen):
+            owner[a] = r
+            return True
+    return False
 
 
-def _saturating_matching(groups: Sequence[Tuple[int, ...]],
-                         activities: Sequence[int],
-                         compatible, a_ne: FrozenSet[int]) -> Optional[Dict[int, int]]:
-    """Matching that covers every group and every activity in a_ne, as a
-    circulation with unit lower bounds on the covered sides."""
-    g_cnt, a_cnt = len(groups), len(activities)
-    # nodes: 0 source, 1 sink, groups, activities, then super source/sink
-    src, snk = 0, 1
-    g0 = 2
-    a0 = 2 + g_cnt
-    ssrc = a0 + a_cnt
-    ssnk = ssrc + 1
-    n = ssnk + 1
-    arcs = [[0] * n for _ in range(n)]
-    # lower bound 1 on src->group: reroute through the super pair
-    for gi in range(g_cnt):
-        arcs[ssrc][g0 + gi] += 1
-        arcs[src][ssnk] += 1
-    for gi, group in enumerate(groups):
-        for ai, act in enumerate(activities):
-            if compatible(group, act):
-                arcs[g0 + gi][a0 + ai] = 1
-    for ai, act in enumerate(activities):
-        if act in a_ne:
-            arcs[ssrc][snk] += 1
-            arcs[a0 + ai][ssnk] += 1
-        else:
-            arcs[a0 + ai][snk] = 1
-    arcs[snk][src] = g_cnt  # close the circulation
-    need = g_cnt + len(a_ne)
-    if _max_flow(n, arcs, ssrc, ssnk) != need:
+def _cover_matching(fits: Sequence[int], m: int, a_ne: int) -> Optional[List[int]]:
+    """Distinct activities per group, each one the group fits (bit a of
+    fits[g]), that use every activity in the bitmask a_ne; or None.
+
+    The groups plus m - len(fits) pad rows, each fitting exactly the
+    activities outside a_ne, must match perfectly (see `solve_fpt_n`).
+    Kuhn's algorithm: rows in order, activities in ascending bit order.
+    """
+    rows = list(fits) + [((1 << m) - 1) & ~a_ne] * (m - len(fits))
+    owner = [-1] * m  # owner[a]: the row matched to activity a
+    if not all(_augment(r, rows, owner, [0]) for r in range(len(rows))):
         return None
-    # matched pairs are the saturated group->activity arcs (residual 0)
-    out = {}
-    for gi in range(g_cnt):
-        for ai, act in enumerate(activities):
-            if compatible(groups[gi], act) and arcs[g0 + gi][a0 + ai] == 0:
-                out[gi] = ai
-                break
-    return out
+    return [owner.index(g) for g in range(len(fits))]
 
 
 def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> SolveResult:
@@ -423,7 +384,15 @@ def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> Sol
     Agents are expanded from the type counts; agents of one type share an
     approval bitmask.  A size s survives pruning (`model.gamma_masks`) at
     activity a unless some home agent approves s+1 there (it would join); an
-    activity must be used if some home agent approves size 1 there."""
+    activity must be used if some home agent approves size 1 there.
+
+    Group g fits activity a when the AND of its members' pruned masks at a
+    has bit |g|.  A branch holds iff the groups get distinct activities they
+    fit that use every must-use activity.  `_cover_matching` decides that
+    as a perfect matching after adding m - #groups pad rows that fit exactly
+    the other activities.  That is exact: a covering matching leaves
+    m - #groups activities free, none must-use, for the pads; pads never
+    take a must-use activity, so a perfect matching covers them with groups."""
     _require_kind(inst, "sgasp")
     n = inst.n
     if n > max_agents:
@@ -435,25 +404,28 @@ def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> Sol
     for home_mask in range((1 << n) - 1, -1, -1):
         rest = [i for i in range(n) if not home_mask >> i & 1]
         pruned, a_ne = gamma_masks(masks, {type_of[i] for i in range(n) if home_mask >> i & 1})
-
-        def compatible(group, act):
-            lab = -1
-            for i in group:
-                lab &= pruned[type_of[i]][act]
-            return bool(lab >> len(group) & 1)
-
+        a_ne_mask = sum(1 << a for a in a_ne)
         for parts in _partitions(rest):
             branches += 1
             if len(parts) > m:
                 continue  # more groups than activities can host
-            match = _saturating_matching(parts, list(range(m)), compatible,
-                                         frozenset(a_ne))
+            fits = []
+            for group in parts:
+                fit = 0
+                for a in range(m):
+                    lab = -1
+                    for i in group:
+                        lab &= pruned[type_of[i]][a]
+                    if lab >> len(group) & 1:
+                        fit |= 1 << a
+                fits.append(fit)
+            match = _cover_matching(fits, m, a_ne_mask)
             if match is None:
                 continue
             rows = [[0] * m for _ in inst.types]
-            for gi, ai in match.items():
-                for agent in parts[gi]:
-                    rows[type_of[agent]][ai] += 1
+            for group, a in zip(parts, match):
+                for agent in group:
+                    rows[type_of[agent]][a] += 1
             x = TypeCountAssignment(tuple(tuple(r) for r in rows))
             if not verify_sgasp(inst, x).stable:
                 raise InternalSolverError(

@@ -468,6 +468,7 @@ def brute_mpss(fam: VectorFamily, budget: Optional[int] = None) -> MPSSResult:
             path.pop()
 
     rec(0, (0,) * fam.k)
+    del rec  # rec's closure holds rec; that cycle would pin `found` until a full GC
 
     def resolver(target):
         return found[tuple(target)]

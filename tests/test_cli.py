@@ -171,7 +171,7 @@ def test_solve_structural_caps_raisable(tmp_path, capsys):
     assert json.loads(out)["exists"] is True
 
 
-def test_solve_timeout_exit(tmp_path, capsys):
+def chasing_network():
     # loners and followers chasing each other across five activities: no
     # stable outcome, so brute force scans all 6^6 agent assignments
     acts = [f"a{i}" for i in range(5)]
@@ -180,12 +180,57 @@ def test_solve_timeout_exit(tmp_path, capsys):
     base = gasp_instance(acts, [("t1", 3, ranks1), ("t2", 3, ranks2)])
     ids = [(f"x{i}", "t1" if i < 3 else "t2") for i in range(6)]
     links = frozenset((u, v) for (u, _), (v, _) in itertools.combinations(ids, 2))
-    net = NetworkInstance(base, tuple(ids), links)
-    inst = write(tmp_path / "n.json", net)
+    return NetworkInstance(base, tuple(ids), links)
+
+
+def test_solve_timeout_exit(tmp_path, capsys):
+    inst = write(tmp_path / "n.json", chasing_network())
     code, _, err = run(capsys, "solve", "--alg", "brute", "--in", inst,
                        "--timeout", "0.05")
     assert code == 3
     assert "timed out" in err
+
+
+def yes_source(tmp_path, command):
+    """The input arguments of `solve` or `bench` for YES_SGASP."""
+    inst = write(tmp_path / "i.json", YES_SGASP)
+    suite = tmp_path / "suite.txt"
+    suite.write_text(inst + "\n")
+    return ["--in", inst] if command == "solve" else ["--suite", str(suite)]
+
+
+def bad_flag_exit(tmp_path, capsys, command, flag, value):
+    """The exit code and stderr of solve/bench on YES_SGASP with one bad flag."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--alg", "fpt-n", *yes_source(tmp_path, command), flag, value])
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err and out.out == ""
+    return exc.value.code, out.err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("flag", ["--max-agents", "--max-types"])
+@pytest.mark.parametrize("value", ["-1", "-5", "x"])
+def test_caps_must_be_nonneg_int(tmp_path, capsys, command, flag, value):
+    code, err = bad_flag_exit(tmp_path, capsys, command, flag, value)
+    assert code == 2
+    assert flag in err and "integer >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e30", "-1", "abc"])
+def test_timeout_must_be_finite_seconds(tmp_path, capsys, command, value):
+    code, err = bad_flag_exit(tmp_path, capsys, command, "--timeout", value)
+    assert code == 2
+    assert "--timeout" in err and "seconds" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_timeout_accepts_zero_and_seconds(tmp_path, capsys, command):
+    source = yes_source(tmp_path, command)
+    for value in ("0", "30", "0.5"):
+        code, _, _ = run(capsys, command, "--alg", "fpt-n", *source, "--timeout", value)
+        assert code == 0
 
 
 def test_solve_witness_flag_rejected_off_kind(tmp_path, capsys):
@@ -384,6 +429,14 @@ def test_bench_structural_caps(tmp_path, capsys):
             code, out, _ = run(capsys, "bench", "--suite", suite, "--alg", alg, *extra)
             assert code == code_want
             assert [r["answer"] for r in csv.DictReader(out.splitlines())] == [cell]
+
+
+def test_bench_timeout_cell(tmp_path, capsys):
+    suite = bench_suite(tmp_path, [chasing_network()])
+    code, out, _ = run(capsys, "bench", "--suite", suite, "--alg", "brute",
+                       "--timeout", "0.05")
+    assert code == 3
+    assert [r["answer"] for r in csv.DictReader(out.splitlines())] == ["timeout"]
 
 
 def test_bench_algorithm_names_checked(tmp_path, capsys):

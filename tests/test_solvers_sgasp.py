@@ -17,6 +17,7 @@ from gasplab.model import (
 )
 from gasplab.oracle import oracle_sgasp
 from gasplab.solvers_sgasp import (
+    _cover_matching,
     _ir_kernel,
     enumerate_acyclic_patterns,
     find_ir_assignment,
@@ -266,6 +267,33 @@ def test_fpt_n_agent_cap():
     with pytest.raises(BudgetError):
         solve_fpt_n(inst)
     assert solve_fpt_n(inst, max_agents=11).exists
+
+
+def test_cover_matching_matches_brute_force():
+    # every injective group -> activity map is tried; a map counts when each
+    # group fits its activity and every a_ne activity is used
+    rng = random.Random(9330)
+    cases = [([], 0, 0), ([], 3, 0), ([], 3, 0b101), ([0b11] * 3, 2, 0)]
+    for _ in range(600):
+        m = rng.randint(0, 5)
+        groups = rng.randint(0, 4) if rng.random() < 0.9 else 0
+        fits = [rng.getrandbits(m) | rng.getrandbits(m) for _ in range(groups)]
+        cases.append((fits, m, rng.getrandbits(m) & rng.getrandbits(m)))
+    seen = {"yes": 0, "no": 0, "more groups": 0, "a_ne, no groups": 0}
+    for fits, m, a_ne in cases:
+        want = any(all(fits[g] >> a & 1 for g, a in enumerate(pick))
+                   and not a_ne & ~sum(1 << a for a in pick)
+                   for pick in itertools.permutations(range(m), len(fits)))
+        got = _cover_matching(fits, m, a_ne)
+        assert (got is not None) == want, (fits, m, a_ne)
+        seen["yes" if want else "no"] += 1
+        seen["more groups"] += len(fits) > m
+        seen["a_ne, no groups"] += bool(a_ne) and not fits
+        if got is not None:
+            assert len(got) == len(fits) and len(set(got)) == len(got)
+            assert all(fits[g] >> a & 1 for g, a in enumerate(got))
+            assert not a_ne & ~sum(1 << a for a in got)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_find_ir_assignment_respects_q_and_a_ne():
