@@ -80,7 +80,7 @@ class _Alarm:
 def _brute(inst, budget, **_):
     kind = formats.instance_kind(inst)
     if kind == "smpss":
-        res = brute_mpss(inst.family(), budget=budget)
+        res = brute_mpss(inst.family(), budget=budget, target=inst.target)
         hit = inst.target in res.targets
         return SolveResult(hit, res.witness(inst.target) if hit else None)
     if kind == "pclique":

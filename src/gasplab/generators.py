@@ -231,7 +231,7 @@ class SMPSSInstance:
 
 def smpss_solvable(s: SMPSSInstance, budget=None) -> bool:
     """Exhaustively decide whether one vector per set can sum to the target."""
-    return s.target in brute_mpss(s.family(), budget=budget).targets
+    return s.target in brute_mpss(s.family(), budget=budget, target=s.target).targets
 
 
 # ---------------------------------------------------------------------------

@@ -168,25 +168,28 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
 def _activity_vectors(total: int, allowed: Sequence[int], caps: Sequence[int],
                       k: int) -> List[Tuple[int, ...]]:
     """All k-vectors with the given total, support inside `allowed`, and
-    component i at most caps[i]."""
+    component i at most caps[i], in lexicographic order of their values at
+    `allowed`."""
     out: List[Tuple[int, ...]] = []
-    vec = [0] * k
-
-    def rec(pos, left):
-        if pos == len(allowed):
-            if left == 0:
-                out.append(tuple(vec))
-            return
-        i = allowed[pos]
-        rest = sum(caps[j] for j in allowed[pos + 1:])
-        lo = max(0, left - rest)
-        for v in range(lo, min(left, caps[i]) + 1):
-            vec[i] = v
-            rec(pos + 1, left - v)
-            vec[i] = 0
-
-    rec(0, total)
+    # rest[pos]: the most the positions after pos can still take
+    rest = [sum(caps[j] for j in allowed[pos + 1:]) for pos in range(len(allowed))]
+    _fill_splits(0, total, allowed, caps, rest, [0] * k, out)
     return out
+
+
+def _fill_splits(pos: int, left: int, allowed: Sequence[int], caps: Sequence[int],
+                 rest: Sequence[int], vec: List[int], out: List[Tuple[int, ...]]) -> None:
+    """`_activity_vectors`' step: every split of `left` over allowed[pos:],
+    appended to `out` as copies of `vec`."""
+    if pos == len(allowed):
+        if left == 0:
+            out.append(tuple(vec))
+        return
+    i = allowed[pos]
+    for v in range(max(0, left - rest[pos]), min(left, caps[i]) + 1):
+        vec[i] = v
+        _fill_splits(pos + 1, left - v, allowed, caps, rest, vec, out)
+    vec[i] = 0
 
 
 def _ir_kernel(caps: Sequence[int]):

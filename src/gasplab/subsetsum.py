@@ -21,6 +21,7 @@ boundary; past them everything works on plain bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .budget import WorkMeter, resolve_budget
@@ -260,28 +261,13 @@ def brute_tss(tree: LabeledTree, budget: Optional[int] = None) -> TSSResult:
     One step per valuation tried."""
     meter = WorkMeter(resolve_budget(budget))
     # an edge value never exceeds either endpoint's incident sum, so this box
-    # holds every feasible valuation; an empty label makes the range empty
+    # holds every feasible valuation; an empty label makes the range empty.
+    # With no edges the one valuation is (), feasible iff every label has 0
     hi = [max(l) if l else -1 for l in tree.labels]
-    tops = [min(hi[u], hi[v]) for u, v in tree.edges]
-    m = len(tree.edges)
-    alpha = [0] * m
-
-    def rec(i):
-        if i == m:
-            meter.tick()
-            return check_tss_witness(tree, alpha)
-        for val in range(tops[i] + 1):
-            alpha[i] = val
-            if rec(i + 1):
-                return True
-        return False
-
-    if m == 0:
+    for alpha in product(*(range(min(hi[u], hi[v]) + 1) for u, v in tree.edges)):
         meter.tick()
-        ok = all(0 in l for l in tree.labels)
-        return TSSResult(ok, () if ok else None)
-    if rec(0):
-        return TSSResult(True, tuple(alpha))
+        if check_tss_witness(tree, alpha):
+            return TSSResult(True, alpha)
     return TSSResult(False)
 
 
@@ -330,8 +316,10 @@ class MPSSResult:
         self._resolver = resolver
 
     def witness(self, target: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-        """One vector per set summing to target; lexicographically smallest
-        choice at each set, walking last set to first."""
+        """One vector per set summing to target.  From `solve_mpss`: the
+        smallest workable vector at each set, walking last set to first.
+        From `brute_mpss`: the first path in DFS order, sets first to last,
+        each set's vectors in sorted order."""
         target = tuple(target)
         if target not in self.targets:
             raise KeyError(f"{target!r} is not reachable")
@@ -425,11 +413,17 @@ def _mpss_witness(sets: Sequence[Sequence[Tuple[int, int]]], prefixes: Sequence[
     return picks
 
 
+def _kept(fam: VectorFamily) -> List[List[Tuple[int, ...]]]:
+    """Each set's vectors with every component within its cap, in order;
+    the others can never be used, since sums only grow."""
+    return [[vec for vec in p_set if all(v <= c for v, c in zip(vec, fam.caps))]
+            for p_set in fam.sets]
+
+
 def solve_mpss(fam: VectorFamily) -> MPSSResult:
     """All t in [0,caps]^k writable as a sum with exactly one vector per set."""
     radix = _MixedRadix(fam.caps)
-    kept = [[vec for vec in p_set if all(v <= c for v, c in zip(vec, fam.caps))]
-            for p_set in fam.sets]
+    kept = _kept(fam)
     sets = [[(radix.position(vec), radix.geq_mask(vec)) for vec in vecs] for vecs in kept]
     prefixes = _mpss(sets)
     targets = set()
@@ -446,31 +440,83 @@ def solve_mpss(fam: VectorFamily) -> MPSSResult:
     return MPSSResult(frozenset(targets), any(not s for s in fam.sets), resolver)
 
 
-def brute_mpss(fam: VectorFamily, budget: Optional[int] = None) -> MPSSResult:
-    """Exhaustive MPSS by depth-first search over one-vector-per-set choices,
-    pruned as soon as a partial sum leaves the cap box. One step per node."""
-    meter = WorkMeter(resolve_budget(budget))
-    l = len(fam.sets)
-    found: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
-    path: List[Tuple[int, ...]] = []
-
-    def rec(i, acc):
-        meter.tick()
-        if i == l:
+def _mpss_walk(sets, i, acc, guard, target, path, found, meter) -> bool:
+    """Depth-first walk behind `brute_mpss` on packed sums: one tick per
+    node, children in set order, a child dropped when its sum sets a guard
+    bit.  Leaves go into `found` (the first path per sum) when `target` is
+    None; otherwise the walk records the first leaf equal to `target` and
+    returns True there."""
+    meter.tick()
+    if i == len(sets):
+        if target is None:
             found.setdefault(acc, tuple(path))
-            return
-        for vec in fam.sets[i]:
-            nxt = tuple(a + v for a, v in zip(acc, vec))
-            if any(x > c for x, c in zip(nxt, fam.caps)):
-                continue
-            path.append(vec)
-            rec(i + 1, nxt)
-            path.pop()
+        elif acc == target:
+            found[acc] = tuple(path)
+            return True
+        return False
+    for vec, add in sets[i]:
+        nxt = acc + add
+        if nxt & guard:
+            continue
+        path.append(vec)
+        if _mpss_walk(sets, i + 1, nxt, guard, target, path, found, meter):
+            return True
+        path.pop()
+    return False
 
-    rec(0, (0,) * fam.k)
-    del rec  # rec's closure holds rec; that cycle would pin `found` until a full GC
 
-    def resolver(target):
-        return found[tuple(target)]
+def brute_mpss(fam: VectorFamily, budget: Optional[int] = None,
+               target: Optional[Sequence[int]] = None) -> MPSSResult:
+    """Exhaustive MPSS by depth-first search over one-vector-per-set choices,
+    pruned as soon as a partial sum leaves the cap box. One step per node.
 
-    return MPSSResult(frozenset(found), any(not s for s in fam.sets), resolver)
+    Each partial sum is one int.  Component i owns a field of b_i + 1 bits,
+    b_i = caps[i].bit_length(), and starts at 2^b_i - 1 - caps[i], so it is
+    over its cap exactly when its guard bit 2^b_i is set.  Vectors with a
+    component over its cap are dropped first; every kept entry is at most
+    its cap, so a child costs one add and one AND, and no carry crosses a
+    field.
+
+    Without `target` every reachable sum is returned, each with the first
+    path in DFS order as its witness.  With `target` (a k-vector) the walk
+    stops at the first path that reaches it; `.targets` is then {target},
+    or empty when it is unreachable or outside the cap box.
+    """
+    meter = WorkMeter(resolve_budget(budget))
+    offs: List[int] = []
+    bias = guard = off = 0
+    for c in fam.caps:
+        b = c.bit_length()
+        offs.append(off)
+        bias |= ((1 << b) - 1 - c) << off
+        guard |= 1 << (off + b)
+        off += b + 1
+
+    def pack(vec):
+        return sum(v << o for v, o in zip(vec, offs))
+
+    sets = [[(vec, pack(vec)) for vec in vecs] for vecs in _kept(fam)]
+    goal = None
+    if target is not None:
+        target = tuple(target)
+        _check_nonneg(target, "target components")
+        if len(target) != fam.k:
+            raise InvalidInstanceError(f"target {target!r} is not {fam.k}-dimensional")
+        # a target outside the box is unreachable, and packing it could carry
+        # into the next field; -1 equals no leaf
+        inside = all(t <= c for t, c in zip(target, fam.caps))
+        goal = bias + pack(target) if inside else -1
+    found: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+    _mpss_walk(sets, 0, bias, guard, goal, [], found, meter)
+    if target is not None:
+        paths = {target: found[goal]} if found else {}
+    else:
+        # less the bias, each field holds just its component (at most its cap)
+        fields = [(o, (1 << c.bit_length()) - 1) for o, c in zip(offs, fam.caps)]
+        paths = {tuple((acc - bias) >> o & m for o, m in fields): path
+                 for acc, path in found.items()}
+
+    def resolver(t):
+        return paths[tuple(t)]
+
+    return MPSSResult(frozenset(paths), any(not s for s in fam.sets), resolver)

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import gasp_instance, sgasp_instance
 from gasplab import cli, formats
-from gasplab.generators import random_partitioned_clique
+from gasplab.generators import SMPSSInstance, random_partitioned_clique
 from gasplab.model import NetworkInstance
 
 
@@ -109,6 +109,17 @@ def test_solve_brute_smpss_and_ggasp(tmp_path, capsys):
     assert code == 0
     code = cli.main(["solve", "--alg", "brute", "--in", str(tmp_path / "n.json")])
     assert code == 0
+
+
+def test_solve_brute_smpss_unreachable_target(tmp_path, capsys):
+    inst = write(tmp_path / "s.json",
+                 SMPSSInstance((3, 2), [[(1, 0), (2, 0)], [(0, 1), (0, 3)]]))
+    code, out, _ = run(capsys, "solve", "--alg", "brute", "--in", inst)
+    assert code == 0
+    assert json.loads(out)["exists"] is False
+    code, _, err = run(capsys, "solve", "--alg", "brute", "--in", inst, "--budget", "1")
+    assert code == 3
+    assert "budget" in err
 
 
 def test_solve_budget_exit(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from gasplab.model import (
 )
 from gasplab.oracle import oracle_sgasp
 from gasplab.solvers_sgasp import (
+    _activity_vectors,
     _cover_matching,
     _ir_kernel,
     enumerate_acyclic_patterns,
@@ -294,6 +296,26 @@ def test_cover_matching_matches_brute_force():
             assert all(fits[g] >> a & 1 for g, a in enumerate(got))
             assert not a_ne & ~sum(1 << a for a in got)
     assert min(seen.values()) >= 20, seen
+
+
+def test_activity_vectors_lexicographic_and_acyclic():
+    # the reference: every capped vector, zero off `allowed`, in tuple order
+    rng = random.Random(9331)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            caps = [rng.randint(0, 3) for _ in range(k)]
+            allowed = sorted(rng.sample(range(k), rng.randint(0, k)))
+            total = rng.randint(0, 8)
+            box = [range(c + 1) if i in allowed else [0] for i, c in enumerate(caps)]
+            want = [v for v in itertools.product(*box) if sum(v) == total]
+            assert _activity_vectors(total, allowed, caps, k) == want
+        # no self-recursive closure left behind for the collector
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_find_ir_assignment_respects_q_and_a_ne():

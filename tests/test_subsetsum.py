@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 
 import pytest
@@ -230,6 +232,74 @@ def test_mpss_matches_brute_fuzz():
     assert nonempty > 300
 
 
+def test_brute_mpss_target_stop_matches_full_walk_fuzz():
+    rng = random.Random(7006)
+    hits = misses = 0
+    for _ in range(600):
+        fam = _random_family(rng)
+        full = brute_mpss(fam)
+        for t in sorted(full.targets):
+            got = brute_mpss(fam, target=t)
+            assert got.targets == {t}
+            assert got.witness(t) == full.witness(t)
+            hits += 1
+        # unreachable points of the cap box, then points outside it
+        box = itertools.product(*(range(c + 1) for c in fam.caps))
+        for t in [t for t in box if t not in full.targets][:3]:
+            assert brute_mpss(fam, target=t).targets == frozenset()
+            misses += 1
+        i = rng.randrange(fam.k)
+        over = tuple(c + (j == i) * rng.randint(1, 3) for j, c in enumerate(fam.caps))
+        assert brute_mpss(fam, target=over).targets == frozenset()
+    assert hits > 250 and misses > 1000  # 318 and 1544 at this seed
+
+
+def test_brute_mpss_edge_cases():
+    # cap 0 in one component: only vectors that are 0 there are usable
+    fam = VectorFamily(2, (0, 3), [[(0, 1), (1, 0)], [(0, 2)]])
+    assert brute_mpss(fam).targets == {(0, 3)}
+    assert brute_mpss(fam, target=(0, 3)).witness((0, 3)) == ((0, 1), (0, 2))
+    assert brute_mpss(fam, target=(1, 2)).targets == frozenset()
+    # an empty set reaches nothing
+    fam = VectorFamily(1, 4, [[(1,)], []])
+    res = brute_mpss(fam)
+    assert res.targets == frozenset() and res.empty_source
+    assert brute_mpss(fam, target=(1,)).targets == frozenset()
+    # no sets: the zero vector, with the empty witness
+    fam = VectorFamily(3, (2, 0, 5), [])
+    for res in (brute_mpss(fam), brute_mpss(fam, target=(0, 0, 0))):
+        assert res.targets == {(0, 0, 0)}
+        assert res.witness((0, 0, 0)) == ()
+    assert brute_mpss(fam, target=(1, 0, 0)).targets == frozenset()
+    with pytest.raises(InvalidInstanceError):
+        brute_mpss(fam, target=(0, 0))
+
+
+def test_brute_mpss_guard_bit_stops_carry():
+    # (1,0) + (1,0) is 2 > 1 in the first component; unchecked, that field
+    # would carry into the second and read as (0, 1) or similar
+    fam = VectorFamily(2, (1, 3), [[(1, 0)], [(1, 0)]])
+    assert brute_mpss(fam).targets == frozenset()
+    for t in itertools.product(range(2), range(4)):
+        assert brute_mpss(fam, target=t).targets == frozenset()
+    fam = VectorFamily(2, (1, 3), [[(1, 0), (0, 3)], [(1, 0), (0, 1)]])
+    assert brute_mpss(fam).targets == solve_mpss(fam).targets == {(1, 3), (1, 1)}
+
+
+def test_brute_checkers_leave_no_reference_cycles():
+    # a self-recursive closure would pin its frame until the collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        fam = VectorFamily(2, (3, 3), [[(1, 0), (0, 1)]] * 3)
+        assert brute_mpss(fam).witness((1, 2)) == ((0, 1), (0, 1), (1, 0))
+        assert brute_mpss(fam, target=(1, 2)).witness((1, 2)) == ((0, 1), (0, 1), (1, 0))
+        assert brute_tss(LabeledTree([{1, 2}, {2}, {1}], [(0, 1), (1, 2)])).alpha == (1, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_tss_monotone_in_labels():
     rng = random.Random(7004)
     flips = 0
@@ -262,6 +332,8 @@ def test_brute_budgets_refuse_oversized():
         brute_pss(PSSInstance({5}, [set(range(6))] * 6), budget=10)
     with pytest.raises(BudgetError):
         brute_mpss(VectorFamily(1, 50, [[(0,), (1,)]] * 10), budget=10)
+    with pytest.raises(BudgetError):
+        brute_mpss(VectorFamily(1, 50, [[(0,), (1,)]] * 10), budget=10, target=(10,))
 
 
 def test_budget_env_override(monkeypatch):
