@@ -1,18 +1,27 @@
-"""Work budgets for the exhaustive checkers.
+"""Work budgets and deadlines, the one way a run stops early.
 
 The brute-force oracles refuse to enumerate past a step limit instead of
 hanging.  The limit comes from the explicit argument if given, then the
 GASPLAB_BUDGET environment variable, then the per-caller fallback.  Both
 given forms must be an integer >= 1; anything else raises
-`InvalidSettingError`.
+`InvalidSettingError`.  Every algorithm ticks a `WorkMeter` per branch and
+calls `check` inside long steps, so a run under `deadline(seconds)` stops
+with `DeadlineError`; a `ContextVar` keeps each thread's deadline its own.
 """
 
 import os
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 
-from .errors import BudgetError, InvalidSettingError
+from .errors import BudgetError, DeadlineError, InvalidSettingError
 from .model import _is_int
 
 DEFAULT_BUDGET = 10 ** 7
+
+_clock = time.monotonic
+# (end on _clock, seconds given) of the innermost deadline, None without one
+_deadline = ContextVar("gasplab_deadline", default=None)
 
 
 def parse_budget(text, source):
@@ -35,17 +44,44 @@ def resolve_budget(budget=None, fallback=DEFAULT_BUDGET):
     return fallback
 
 
+@contextmanager
+def deadline(seconds):
+    """Stop runs in this context `seconds` of wall clock from now (0 or
+    None: no cap).  A deadline inside another one can only come earlier."""
+    if seconds is not None and not 0 <= seconds <= 1e9:  # refuses nan and inf too
+        raise InvalidSettingError(f"deadline must be seconds in [0, 1e9], got {seconds!r}")
+    cap = _deadline.get()
+    if seconds:
+        end = _clock() + seconds
+        if cap is None or end < cap[0]:
+            cap = (end, seconds)
+    token = _deadline.set(cap)
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def check():
+    """Raise `DeadlineError` once the deadline of this context has passed."""
+    cap = _deadline.get()
+    if cap is not None and _clock() >= cap[0]:
+        raise DeadlineError(f"exceeded {cap[1]}s")
+
+
 class WorkMeter:
-    """Counts enumeration steps and refuses to go past the limit."""
+    """Counts enumeration steps, refuses to go past the limit (None: no
+    limit) and checks the deadline at every step."""
 
     __slots__ = ("limit", "spent")
 
-    def __init__(self, limit):
+    def __init__(self, limit=None):
         self.limit = limit
         self.spent = 0
 
     def tick(self, n=1):
         self.spent += n
-        if self.spent > self.limit:
+        if self.limit is not None and self.spent > self.limit:
             raise BudgetError(
                 f"work budget exceeded: {self.spent} > {self.limit} steps")
+        check()

@@ -10,7 +10,8 @@ cross-algorithm disagreement, 2 input error, 3 budget or timeout.  The
 brute-force checkers cap their enumeration work at ``--budget N`` if given,
 else at the GASPLAB_BUDGET environment variable (either an integer >= 1),
 else at their default (2,000,000 matrices for the oracles, 10**7 steps for
-the subset-sum checkers).
+the subset-sum checkers).  ``--timeout S`` runs the algorithm under
+`budget.deadline`, checked at its branch points, in any thread.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import argparse
 import csv
 import json
 import os
-import signal
 import sys
 import time
 
 from . import formats
-from .budget import parse_budget
-from .errors import BudgetError, InvalidAssignmentError, InvalidInstanceError, InvalidSettingError
+from .budget import deadline, parse_budget
+from .errors import (BudgetError, DeadlineError, InvalidAssignmentError, InvalidInstanceError,
+                     InvalidSettingError)
 from .generators import (
     PartitionedCliqueInstance,
     SMPSSInstance,
@@ -50,31 +51,6 @@ from .oracle import oracle_gasp, oracle_ggasp, oracle_sgasp
 from .solver_gasp import DEFAULT_TYPE_CAP, solve_xp_gasp
 from .solvers_sgasp import DEFAULT_AGENT_CAP, SolveResult, solve_fpt_n, solve_fpt_ta, solve_xp_t
 from .subsetsum import brute_mpss
-
-
-class SolveTimeout(Exception):
-    pass
-
-
-class _Alarm:
-    """SIGALRM-based wall clock cap; seconds may be fractional, 0 disables."""
-
-    def __init__(self, seconds):
-        self.seconds = seconds or 0
-
-    def __enter__(self):
-        if self.seconds:
-            def fire(signum, frame):
-                raise SolveTimeout(f"exceeded {self.seconds}s")
-            self._old = signal.signal(signal.SIGALRM, fire)
-            signal.setitimer(signal.ITIMER_REAL, self.seconds)
-        return self
-
-    def __exit__(self, *exc):
-        if self.seconds:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, self._old)
-        return False
 
 
 def _brute(inst, budget, **_):
@@ -119,9 +95,10 @@ def _check_alg_kind(alg, inst):
     return kind
 
 
-def _budget(text):
+def _positive_int(text):
+    """An integer >= 1, by the rule of `budget.parse_budget`."""
     try:
-        return parse_budget(text, "budget")
+        return parse_budget(text, "value")
     except InvalidSettingError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -134,8 +111,7 @@ def _cap(text):
 
 
 def _timeout(text):
-    """Seconds for `_Alarm`: a number in [0, 1e9], 0 meaning no cap; setitimer
-    overflows past 2**31 s where time_t has 32 bits."""
+    """Seconds for `budget.deadline`: a number in [0, 1e9], 0 meaning no cap."""
     try:
         if 0 <= float(text) <= 1e9:  # refuses nan and inf too
             return float(text)
@@ -167,7 +143,7 @@ def cmd_solve(args) -> int:
     if args.witness and kind not in ("sgasp", "gasp", "ggasp"):
         raise InvalidInstanceError(f"witness files are not defined for {kind} instances")
     start = time.perf_counter()
-    with _Alarm(args.timeout):
+    with deadline(args.timeout):
         exists, witness, stats = _run_alg(args.alg, inst, budget=args.budget,
                                           max_agents=args.max_agents,
                                           max_types=args.max_types)
@@ -301,18 +277,18 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             branches = ""
             try:
-                with _Alarm(args.timeout):
+                with deadline(args.timeout):
                     exists, _, stats = _run_alg(alg, inst, budget=args.budget,
                                                 max_agents=args.max_agents,
                                                 max_types=args.max_types)
                 answer = "yes" if exists else "no"
                 answers.add(answer)
                 branches = stats.get("branches", stats.get("explored", ""))
+            except DeadlineError:
+                answer = "timeout"
+                starved = True
             except BudgetError:
                 answer = "budget"
-                starved = True
-            except SolveTimeout:
-                answer = "timeout"
                 starved = True
             wall_ms = (time.perf_counter() - start) * 1000
             rows.append((name, alg, answer, f"{wall_ms:.3f}", branches))
@@ -346,7 +322,7 @@ def _add_pc_args(p):
 
 def _add_run_args(p):
     """The caps `_run_alg` hands to every algorithm."""
-    p.add_argument("--budget", type=_budget, help="enumeration cap for brute force")
+    p.add_argument("--budget", type=_positive_int, help="enumeration cap for brute force")
     p.add_argument("--max-agents", type=_cap, default=DEFAULT_AGENT_CAP,
                    help="raise the structural cap of fpt-n")
     p.add_argument("--max-types", type=_cap, default=DEFAULT_TYPE_CAP,
@@ -375,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsubs = p.add_subparsers(dest="generator", metavar="generator", required=True)
 
     g = gsubs.add_parser("sidon", help="greedy sequence with distinct pairwise sums")
-    g.add_argument("--length", type=int, required=True)
+    g.add_argument("--length", type=_positive_int, required=True)
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 
@@ -424,17 +400,14 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (InvalidInstanceError, InvalidAssignmentError, InvalidSettingError) as exc:
+    except (InvalidInstanceError, InvalidAssignmentError, InvalidSettingError, OSError) as exc:
         _err(exc)
         return 2
-    except OSError as exc:
-        _err(exc)
-        return 2
+    except DeadlineError as exc:
+        _err(f"timed out: {exc}")
+        return 3
     except BudgetError as exc:
         _err(f"work budget exhausted: {exc}")
-        return 3
-    except SolveTimeout as exc:
-        _err(f"timed out: {exc}")
         return 3
 
 

@@ -25,6 +25,10 @@ class BudgetError(GasplabError):
     """
 
 
+class DeadlineError(BudgetError):
+    """The wall clock deadline of `budget.deadline` passed during a run."""
+
+
 class NoCycleError(GasplabError):
     """compress_once was handed an assignment whose incidence graph is acyclic."""
 

@@ -20,6 +20,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Mapping, Optional, Tuple
 
+from .budget import check
 from .errors import InvalidInstanceError
 from .model import (
     EMPTY_ACTIVITY,
@@ -147,6 +148,7 @@ def find_clique(pc: PartitionedCliqueInstance):
     """Exhaustive search for one pairwise-adjacent vertex per part; None if
     there is none.  n^k combinations, meant for desk-size instances."""
     for combo in product(*pc.parts):
+        check()
         if all(pc.adjacent(combo[i], combo[j])
                for i, j in combinations(range(pc.k), 2)):
             return combo

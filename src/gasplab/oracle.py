@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .budget import resolve_budget
+from .budget import WorkMeter, resolve_budget
 from .errors import BudgetError, InternalSolverError
 from .model import (
     EMPTY_ACTIVITY,
@@ -134,10 +134,10 @@ def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
          for row in _compositions(t.count, a + 1)]
         for t in inst.types
     ]
-    explored = 0
+    meter = WorkMeter()
     survivors = []
     for rows in itertools.product(*rows_per_type):
-        explored += 1
+        meter.tick()
         counts = [row[0] for row in rows]
         if not stable(rows, [sum(col) for col in zip(*counts)]):
             continue
@@ -148,7 +148,7 @@ def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
         survivors.append(x)
         if not collect_all:
             break
-    return OracleResult(bool(survivors), tuple(survivors), explored)
+    return OracleResult(bool(survivors), tuple(survivors), meter.spent)
 
 
 def oracle_sgasp(inst: TypedInstance, budget=None, collect_all=False) -> OracleResult:
@@ -214,10 +214,10 @@ def oracle_ggasp(net: NetworkInstance, budget=None, collect_all=False) -> Oracle
             f"ggasp oracle would enumerate {total} assignments, cap is {cap}")
     stable = _ggasp_kernel(net)
     a = len(net.base.activities)
-    explored = 0
+    meter = WorkMeter()
     survivors = []
     for picks in itertools.product(range(a + 1), repeat=len(agents)):
-        explored += 1
+        meter.tick()
         members = [0] * a
         for i, p in enumerate(picks):
             if p:
@@ -231,4 +231,4 @@ def oracle_ggasp(net: NetworkInstance, budget=None, collect_all=False) -> Oracle
         survivors.append(pi)
         if not collect_all:
             break
-    return OracleResult(bool(survivors), tuple(survivors), explored)
+    return OracleResult(bool(survivors), tuple(survivors), meter.spent)

@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple
 
+from .budget import WorkMeter
 from .errors import BudgetError, InternalSolverError, InvalidInstanceError
 from .model import (
     EMPTY_ACTIVITY,
@@ -351,9 +352,10 @@ def solve_xp_gasp(inst: TypedInstance, *, max_types: int = DEFAULT_TYPE_CAP) -> 
     pools, caps, owner, reduce = _guess_reducer(inst)
     find = _ir_kernel(caps)
     everyone = (1 << len(caps)) - 1
-    branches = skipped = 0
+    meter = WorkMeter()
+    skipped = 0
     for combo in itertools.product(*pools):
-        branches += 1
+        meter.tick()
         masks, a_ne, consistent = reduce(combo)
         if not consistent:
             skipped += 1
@@ -370,5 +372,5 @@ def solve_xp_gasp(inst: TypedInstance, *, max_types: int = DEFAULT_TYPE_CAP) -> 
             guess = {t.id: entry[0] for t, entry in zip(inst.types, combo)}
             raise InternalSolverError(
                 f"derived solution for guess {guess} maps back unstable")
-        return SolveResult(True, witness, {"branches": branches, "skipped": skipped})
-    return SolveResult(False, None, {"branches": branches, "skipped": skipped})
+        return SolveResult(True, witness, {"branches": meter.spent, "skipped": skipped})
+    return SolveResult(False, None, {"branches": meter.spent, "skipped": skipped})

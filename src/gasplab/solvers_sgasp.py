@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .budget import WorkMeter, check
 from .errors import BudgetError, InternalSolverError, InvalidInstanceError
 from .model import (
     TypeCountAssignment,
@@ -139,14 +140,14 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
     k = len(inst.types)
     m = len(inst.activities)
     masks = approval_masks(inst)
-    branches = 0
+    meter = WorkMeter()
     for q_mask in range(1 << k):
         q_idx = [i for i in range(k) if q_mask >> i & 1]
         pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
         type_labels = [1 << t.count if q_mask >> i & 1 else (1 << t.count) - 1
                        for i, t in enumerate(inst.types)]
         for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne, pruned):
-            branches += 1
+            meter.tick()
             act_labels = [-1] * m  # -1: no neighbour yet
             for t, a in pat:
                 act_labels[a] &= pruned[t][a]
@@ -161,8 +162,8 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
             if not verify_sgasp(inst, x).stable:
                 raise InternalSolverError(
                     "pattern witness failed re-verification; this is a bug")
-            return SolveResult(True, x, {"branches": branches})
-    return SolveResult(False, None, {"branches": branches})
+            return SolveResult(True, x, {"branches": meter.spent})
+    return SolveResult(False, None, {"branches": meter.spent})
 
 
 def _activity_vectors(total: int, allowed: Sequence[int], caps: Sequence[int],
@@ -182,6 +183,7 @@ def _fill_splits(pos: int, left: int, allowed: Sequence[int], caps: Sequence[int
     """`_activity_vectors`' step: every split of `left` over allowed[pos:],
     appended to `out` as copies of `vec`."""
     if pos == len(allowed):
+        check()
         if left == 0:
             out.append(tuple(vec))
         return
@@ -311,9 +313,9 @@ def solve_xp_t(inst: TypedInstance) -> SolveResult:
     k = len(inst.types)
     masks = approval_masks(inst)
     find = _ir_kernel([t.count for t in inst.types])
-    branches = 0
+    meter = WorkMeter()
     for q_mask in range(1 << k):
-        branches += 1
+        meter.tick()
         pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
         picks = find(pruned, sum(1 << a for a in a_ne), q_mask)
         if picks is None:
@@ -322,34 +324,28 @@ def solve_xp_t(inst: TypedInstance) -> SolveResult:
         if not verify_sgasp(inst, x).stable:
             raise InternalSolverError(
                 "Q-branch witness failed re-verification; this is a bug")
-        return SolveResult(True, x, {"branches": branches})
-    return SolveResult(False, None, {"branches": branches})
+        return SolveResult(True, x, {"branches": meter.spent})
+    return SolveResult(False, None, {"branches": meter.spent})
 
 
 # ---------------------------------------------------------------------------
 # FPT in the number of agents
 
 
-def _partitions(items: Sequence[int]):
-    """Set partitions in restricted-growth order; deterministic."""
-    if not items:
-        yield []
+def _partitions(items: Sequence[int], groups: List[List[int]], i: int = 0):
+    """Set partitions of `items` in restricted-growth order: items[:i] are
+    already placed in `groups`, and item i joins each group in turn, then a
+    group of its own."""
+    if i == len(items):
+        yield [tuple(g) for g in groups]
         return
-    groups: List[List[int]] = []
-
-    def rec(i):
-        if i == len(items):
-            yield [tuple(g) for g in groups]
-            return
-        for g in groups:
-            g.append(items[i])
-            yield from rec(i + 1)
-            g.pop()
-        groups.append([items[i]])
-        yield from rec(i + 1)
-        groups.pop()
-
-    yield from rec(0)
+    for g in groups:
+        g.append(items[i])
+        yield from _partitions(items, groups, i + 1)
+        g.pop()
+    groups.append([items[i]])
+    yield from _partitions(items, groups, i + 1)
+    groups.pop()
 
 
 def _augment(r: int, rows: Sequence[int], owner: List[int], seen: List[int]) -> bool:
@@ -403,13 +399,13 @@ def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> Sol
     m = len(inst.activities)
     type_of = [i for i, t in enumerate(inst.types) for _ in range(t.count)]
     masks = approval_masks(inst)
-    branches = 0
+    meter = WorkMeter()
     for home_mask in range((1 << n) - 1, -1, -1):
         rest = [i for i in range(n) if not home_mask >> i & 1]
         pruned, a_ne = gamma_masks(masks, {type_of[i] for i in range(n) if home_mask >> i & 1})
         a_ne_mask = sum(1 << a for a in a_ne)
-        for parts in _partitions(rest):
-            branches += 1
+        for parts in _partitions(rest, []):
+            meter.tick()
             if len(parts) > m:
                 continue  # more groups than activities can host
             fits = []
@@ -433,5 +429,5 @@ def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> Sol
             if not verify_sgasp(inst, x).stable:
                 raise InternalSolverError(
                     "partition witness failed re-verification; this is a bug")
-            return SolveResult(True, x, {"branches": branches})
-    return SolveResult(False, None, {"branches": branches})
+            return SolveResult(True, x, {"branches": meter.spent})
+    return SolveResult(False, None, {"branches": meter.spent})

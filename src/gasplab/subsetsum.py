@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .budget import WorkMeter, resolve_budget
+from .budget import WorkMeter, check, resolve_budget
 from .errors import InvalidInstanceError
 from .model import _is_int, is_forest
 
@@ -385,6 +385,7 @@ def _mpss(sets: Sequence[Sequence[Tuple[int, int]]]) -> List[int]:
     """
     prefixes = [1]
     for pairs in sets:
+        check()
         d = prefixes[-1]
         out = 0
         for pos, geq in pairs:

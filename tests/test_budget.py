@@ -1,0 +1,96 @@
+"""Deadlines and work meters: every algorithm stops at an expired deadline,
+a deadline holds only in the thread that set it, and an inner deadline
+never extends an outer one.  The clock is the test's, not the wall's."""
+
+import threading
+
+import pytest
+
+from conftest import gasp_instance, sgasp_instance
+from gasplab import budget, cli
+from gasplab.errors import BudgetError, DeadlineError, InvalidSettingError
+from gasplab.generators import SMPSSInstance, random_partitioned_clique
+from gasplab.model import NetworkInstance
+from gasplab.solvers_sgasp import solve_xp_t
+
+YES_SGASP = sgasp_instance(["a1"], [("t1", 2, {"a1": {1, 2}})])
+NO_GASP = gasp_instance(["a"], [("t1", 1, {("a", 1): 2, ("a", 2): -1}),
+                                ("t2", 1, {("a", 2): 2, ("a", 1): -1})])
+
+# one small instance per kind some algorithm handles
+INSTANCES = {
+    "sgasp": YES_SGASP,
+    "gasp": NO_GASP,
+    "ggasp": NetworkInstance(NO_GASP, (("x1", "t1"), ("x2", "t2")), frozenset({("x1", "x2")})),
+    "smpss": SMPSSInstance((3, 2), [[(1, 0), (2, 0)], [(0, 1), (0, 3)]]),
+    "pclique": random_partitioned_clique(3, 2, 1, seed=3, planted=True),
+}
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The deadline clock, read from and set through now[0]."""
+    now = [0.0]
+    monkeypatch.setattr(budget, "_clock", lambda: now[0])
+    return now
+
+
+def test_every_algorithm_stops_at_an_expired_deadline(clock):
+    # a solver registered without a tick or check() fails here
+    runs = [(alg, kind) for alg, (kinds, _) in cli.ALGORITHMS.items() for kind in sorted(kinds)]
+    for alg, kind in runs:
+        with budget.deadline(1):
+            cli._run_alg(alg, INSTANCES[kind])  # in time: runs to the end
+            clock[0] = 2
+            with pytest.raises(DeadlineError, match="exceeded 1s"):
+                cli._run_alg(alg, INSTANCES[kind])
+        clock[0] = 0
+
+
+def test_deadline_holds_only_in_its_own_thread(clock):
+    answers = []
+    with budget.deadline(1):
+        clock[0] = 2
+        worker = threading.Thread(target=lambda: answers.append(solve_xp_t(YES_SGASP).exists))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        with pytest.raises(DeadlineError):
+            solve_xp_t(YES_SGASP)
+    assert answers == [True]
+
+
+def test_inner_deadline_never_extends_the_outer_one(clock):
+    with budget.deadline(1):
+        for inner in (100, 0, None):
+            with budget.deadline(inner):
+                clock[0] = 2
+                with pytest.raises(DeadlineError, match="exceeded 1s"):
+                    budget.check()
+            clock[0] = 0
+        with budget.deadline(0.5):  # a shorter inner one does apply
+            clock[0] = 0.75
+            with pytest.raises(DeadlineError, match="exceeded 0.5s"):
+                budget.check()
+        budget.check()  # and ends with its block
+    clock[0] = 10 ** 9
+    budget.check()  # no deadline outside
+
+
+@pytest.mark.parametrize("seconds", [-1, float("nan"), float("inf"), 1e10])
+def test_deadline_refuses_bad_seconds(seconds):
+    with pytest.raises(InvalidSettingError, match="deadline"):
+        with budget.deadline(seconds):
+            pass
+
+
+def test_meter_without_limit_still_checks_the_deadline(clock):
+    meter = budget.WorkMeter()
+    meter.tick(10 ** 12)
+    assert meter.spent == 10 ** 12
+    with pytest.raises(BudgetError, match="3 > 2"):
+        budget.WorkMeter(2).tick(3)
+    with budget.deadline(1):
+        clock[0] = 1
+        with pytest.raises(DeadlineError):
+            meter.tick()

@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import subprocess
+import threading
 
 import pytest
 
@@ -202,6 +203,21 @@ def test_solve_timeout_exit(tmp_path, capsys):
     assert "timed out" in err
 
 
+def test_solve_timeout_off_the_main_thread(tmp_path, capsys):
+    # the deadline needs no signal handler, so a worker thread may call main
+    for name, obj, alg, want in (("n.json", chasing_network(), "brute", 3),
+                                 ("i.json", YES_SGASP, "fpt-ta", 0)):
+        inst = write(tmp_path / name, obj)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(cli.main(
+            ["solve", "--alg", alg, "--in", inst, "--timeout", "0.05"])))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert codes == [want]
+        assert ("timed out" in capsys.readouterr().err) == (want == 3)
+
+
 def yes_source(tmp_path, command):
     """The input arguments of `solve` or `bench` for YES_SGASP."""
     inst = write(tmp_path / "i.json", YES_SGASP)
@@ -291,6 +307,16 @@ def test_gen_sidon_stdout(capsys):
     code, out, _ = run(capsys, "gen", "sidon", "--length", "5")
     assert code == 0
     assert json.loads(out) == [1, 2, 4, 8, 13]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_gen_sidon_length_must_be_positive_int(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "sidon", "--length", value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "--length" in out.err and "integer >= 1" in out.err
+    assert "Traceback" not in out.err and out.out == ""
 
 
 def test_gen_random_deterministic(tmp_path):

@@ -18,9 +18,11 @@ from gasplab.model import (
 )
 from gasplab.oracle import oracle_sgasp
 from gasplab.solvers_sgasp import (
+    SolveResult,
     _activity_vectors,
     _cover_matching,
     _ir_kernel,
+    _partitions,
     enumerate_acyclic_patterns,
     find_ir_assignment,
     solve_fpt_n,
@@ -269,6 +271,21 @@ def test_fpt_n_agent_cap():
     with pytest.raises(BudgetError):
         solve_fpt_n(inst)
     assert solve_fpt_n(inst, max_agents=11).exists
+
+
+def test_fpt_n_partitions_in_order_without_reference_cycles():
+    assert list(_partitions([0, 1, 2], [])) == [
+        [(0, 1, 2)], [(0, 1), (2,)], [(0, 2), (1,)], [(0,), (1, 2)], [(0,), (1,), (2,)]]
+    # NO with 3 agents: every home set and partition is walked, Bell(4) in all
+    inst = sgasp_instance(["a"], [("s", 2, {"a": {1}}), ("p", 1, {"a": {2}})])
+    gc.collect()
+    gc.disable()
+    try:
+        assert solve_fpt_n(inst) == SolveResult(False, None, {"branches": 15})
+        assert solve_fpt_n(sgasp_instance(["a"], [("t", 3, {"a": {3}})])).exists
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cover_matching_matches_brute_force():
