@@ -1,12 +1,16 @@
 """Work budgets and deadlines, the one way a run stops early.
 
-The brute-force oracles refuse to enumerate past a step limit instead of
-hanging.  The limit comes from the explicit argument if given, then the
-GASPLAB_BUDGET environment variable, then the per-caller fallback.  Both
-given forms must be an integer >= 1; anything else raises
-`InvalidSettingError`.  Every algorithm ticks a `WorkMeter` per branch and
-calls `check` inside long steps, so a run under `deadline(seconds)` stops
-with `DeadlineError`; a `ContextVar` keeps each thread's deadline its own.
+Every algorithm counts its work on a `WorkMeter` and refuses to go past one
+step limit instead of hanging; where the count of a full sweep is known up
+front (`metered`: Q masks, guesses, matrices, clique combinations, table
+positions) it refuses before it starts.  The limit comes from the explicit
+argument if given, then the GASPLAB_BUDGET environment variable, then the
+caller's fallback: DEFAULT_SOLVER_BUDGET for the exact solvers,
+DEFAULT_BUDGET for the subset-sum and clique checkers, the oracles' own cap
+for them.  Both given forms must be an integer >= 1; anything else raises
+`InvalidSettingError`.  Each tick, and `check` inside long steps, also read
+the deadline, so a run under `deadline(seconds)` stops with
+`DeadlineError`; a `ContextVar` keeps each thread's deadline its own.
 """
 
 import os
@@ -18,6 +22,8 @@ from .errors import BudgetError, DeadlineError, InvalidSettingError
 from .model import _is_int
 
 DEFAULT_BUDGET = 10 ** 7
+# Bell(11) = 678,570 branches decide fpt-n on 10 agents; Bell(12) is refused
+DEFAULT_SOLVER_BUDGET = 10 ** 6
 
 _clock = time.monotonic
 # (end on _clock, seconds given) of the innermost deadline, None without one
@@ -42,6 +48,15 @@ def resolve_budget(budget=None, fallback=DEFAULT_BUDGET):
     if env:
         return parse_budget(env, "GASPLAB_BUDGET")
     return fallback
+
+
+def metered(budget, total, what, fallback=DEFAULT_SOLVER_BUDGET):
+    """A `WorkMeter` capped at `resolve_budget(budget, fallback)`, once a
+    sweep known to take `total` steps fits under that cap."""
+    meter = WorkMeter(resolve_budget(budget, fallback))
+    if total > meter.limit:
+        raise BudgetError(f"would enumerate {total} {what}, cap is {meter.limit}")
+    return meter
 
 
 @contextmanager

@@ -6,12 +6,13 @@ against an instance, ``gen`` writes generator output as instance files,
 and ``bench`` times algorithms over a suite and cross-checks answers.
 
 Exit codes: 0 decided / stable / done, 1 verification failure or
-cross-algorithm disagreement, 2 input error, 3 budget or timeout.  The
-brute-force checkers cap their enumeration work at ``--budget N`` if given,
-else at the GASPLAB_BUDGET environment variable (either an integer >= 1),
-else at their default (2,000,000 matrices for the oracles, 10**7 steps for
-the subset-sum checkers).  ``--timeout S`` runs the algorithm under
-`budget.deadline`, checked at its branch points, in any thread.
+cross-algorithm disagreement, 2 input error, 3 budget or timeout.  Every
+algorithm caps its work at ``--budget N`` if given, else at the
+GASPLAB_BUDGET environment variable (either an integer >= 1), else at its
+default (10**6 branches for the exact solvers, 2,000,000 matrices for the
+oracles, 10**7 steps for the subset-sum and clique checkers).
+``--timeout S`` runs the algorithm under `budget.deadline`, checked at its
+branch points, in any thread.
 """
 
 from __future__ import annotations
@@ -48,43 +49,41 @@ from .model import (
     verify_sgasp,
 )
 from .oracle import oracle_gasp, oracle_ggasp, oracle_sgasp
-from .solver_gasp import DEFAULT_TYPE_CAP, solve_xp_gasp
-from .solvers_sgasp import DEFAULT_AGENT_CAP, SolveResult, solve_fpt_n, solve_fpt_ta, solve_xp_t
+from .solver_gasp import solve_xp_gasp
+from .solvers_sgasp import SolveResult, solve_fpt_n, solve_fpt_ta, solve_xp_t
 from .subsetsum import brute_mpss
 
 
-def _brute(inst, budget, **_):
+def _brute(inst, budget):
     kind = formats.instance_kind(inst)
     if kind == "smpss":
         res = brute_mpss(inst.family(), budget=budget, target=inst.target)
         hit = inst.target in res.targets
         return SolveResult(hit, res.witness(inst.target) if hit else None)
     if kind == "pclique":
-        combo = find_clique(inst)
+        combo = find_clique(inst, budget)
         return SolveResult(combo is not None, combo)
     oracle = {"sgasp": oracle_sgasp, "gasp": oracle_gasp, "ggasp": oracle_ggasp}[kind]
     res = oracle(inst, budget=budget)
     return SolveResult(res.exists, res.witnesses[0] if res.exists else None,
-                       {"explored": res.explored})
+                       {"branches": res.explored})
 
 
-# name -> (instance kinds it decides, run(inst, budget=, max_agents=, max_types=)
-# returning a SolveResult); solvers are looked up by name at call time, so
-# rebinding them in this module takes effect
+# name -> (instance kinds it decides, run(inst, budget) returning a
+# SolveResult); solvers are looked up by name at call time, so rebinding
+# them in this module takes effect
 ALGORITHMS = {
-    "fpt-ta": ({"sgasp"}, lambda inst, **_: solve_fpt_ta(inst)),
-    "xp-t": ({"sgasp"}, lambda inst, **_: solve_xp_t(inst)),
-    "fpt-n": ({"sgasp"}, lambda inst, max_agents, **_: solve_fpt_n(inst, max_agents)),
-    "xp-gasp": ({"gasp"}, lambda inst, max_types, **_: solve_xp_gasp(inst, max_types=max_types)),
+    "fpt-ta": ({"sgasp"}, lambda inst, budget: solve_fpt_ta(inst, budget)),
+    "xp-t": ({"sgasp"}, lambda inst, budget: solve_xp_t(inst, budget)),
+    "fpt-n": ({"sgasp"}, lambda inst, budget: solve_fpt_n(inst, budget)),
+    "xp-gasp": ({"gasp"}, lambda inst, budget: solve_xp_gasp(inst, budget)),
     "brute": ({"sgasp", "gasp", "ggasp", "smpss", "pclique"}, _brute),
 }
 
 
-def _run_alg(alg, inst, budget=None, max_agents=DEFAULT_AGENT_CAP,
-             max_types=DEFAULT_TYPE_CAP):
+def _run_alg(alg, inst, budget=None):
     """Returns (exists, witness or None, stats dict)."""
-    r = ALGORITHMS[alg][1](inst, budget=budget, max_agents=max_agents,
-                           max_types=max_types)
+    r = ALGORITHMS[alg][1](inst, budget)
     return r.exists, r.witness, dict(r.stats)
 
 
@@ -101,13 +100,6 @@ def _positive_int(text):
         return parse_budget(text, "value")
     except InvalidSettingError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _cap(text):
-    """A structural cap: an integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
 
 
 def _timeout(text):
@@ -144,9 +136,7 @@ def cmd_solve(args) -> int:
         raise InvalidInstanceError(f"witness files are not defined for {kind} instances")
     start = time.perf_counter()
     with deadline(args.timeout):
-        exists, witness, stats = _run_alg(args.alg, inst, budget=args.budget,
-                                          max_agents=args.max_agents,
-                                          max_types=args.max_types)
+        exists, witness, stats = _run_alg(args.alg, inst, args.budget)
     wall_ms = (time.perf_counter() - start) * 1000
     report = {
         "algorithm": args.alg,
@@ -278,12 +268,10 @@ def cmd_bench(args) -> int:
             branches = ""
             try:
                 with deadline(args.timeout):
-                    exists, _, stats = _run_alg(alg, inst, budget=args.budget,
-                                                max_agents=args.max_agents,
-                                                max_types=args.max_types)
+                    exists, _, stats = _run_alg(alg, inst, args.budget)
                 answer = "yes" if exists else "no"
                 answers.add(answer)
-                branches = stats.get("branches", stats.get("explored", ""))
+                branches = stats.get("branches", "")
             except DeadlineError:
                 answer = "timeout"
                 starved = True
@@ -320,13 +308,7 @@ def _add_pc_args(p):
     p.add_argument("--planted", action="store_true", help="wire a clique in")
 
 
-def _add_run_args(p):
-    """The caps `_run_alg` hands to every algorithm."""
-    p.add_argument("--budget", type=_positive_int, help="enumeration cap for brute force")
-    p.add_argument("--max-agents", type=_cap, default=DEFAULT_AGENT_CAP,
-                   help="raise the structural cap of fpt-n")
-    p.add_argument("--max-types", type=_cap, default=DEFAULT_TYPE_CAP,
-                   help="raise the structural cap of xp-gasp")
+BUDGET_HELP = "work cap for any algorithm: branches, matrices or steps (see README)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="instance file")
     p.add_argument("--witness", help="write the YES witness here")
     p.add_argument("--timeout", type=_timeout, help="wall clock cap in seconds (0: none)")
-    _add_run_args(p)
+    p.add_argument("--budget", type=_positive_int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("verify", help="check a witness file")
@@ -386,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", required=True, help="comma-separated algorithm list")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.add_argument("--timeout", type=_timeout, help="per-cell wall clock cap in seconds (0: none)")
-    _add_run_args(p)
+    p.add_argument("--budget", type=_positive_int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_bench)
 
     return parser

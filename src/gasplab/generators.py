@@ -20,7 +20,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Mapping, Optional, Tuple
 
-from .budget import check
+from .budget import DEFAULT_BUDGET, metered
 from .errors import InvalidInstanceError
 from .model import (
     EMPTY_ACTIVITY,
@@ -144,11 +144,13 @@ class PartitionedCliqueInstance:
                 for i, j in combinations(range(self.k), 2)}
 
 
-def find_clique(pc: PartitionedCliqueInstance):
+def find_clique(pc: PartitionedCliqueInstance, budget=None):
     """Exhaustive search for one pairwise-adjacent vertex per part; None if
-    there is none.  n^k combinations, meant for desk-size instances."""
+    there is none.  n^k combinations, meant for desk-size instances: more
+    than the budget (`budget.resolve_budget`) are refused up front."""
+    meter = metered(budget, pc.n ** pc.k, "clique combinations", DEFAULT_BUDGET)
     for combo in product(*pc.parts):
-        check()
+        meter.tick()
         if all(pc.adjacent(combo[i], combo[j])
                for i, j in combinations(range(pc.k), 2)):
             return combo

@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .budget import WorkMeter, resolve_budget
-from .errors import BudgetError, InternalSolverError
+from .budget import metered
+from .errors import InternalSolverError
 from .model import (
     EMPTY_ACTIVITY,
     AgentAssignment,
@@ -120,11 +120,8 @@ def _gasp_kernel(inst: TypedInstance):
 
 
 def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
-    cap = resolve_budget(budget, DEFAULT_ORACLE_BUDGET)
-    total = _count_matrices(inst)
-    if total > cap:
-        raise BudgetError(
-            f"{variant} oracle would enumerate {total} matrices, cap is {cap}")
+    meter = metered(budget, _count_matrices(inst), f"{variant} oracle matrices",
+                    DEFAULT_ORACLE_BUDGET)
     a = len(inst.activities)
     stable = kernel(inst)
     # per type: attendance counts over activities (the remainder stays home),
@@ -134,7 +131,6 @@ def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
          for row in _compositions(t.count, a + 1)]
         for t in inst.types
     ]
-    meter = WorkMeter()
     survivors = []
     for rows in itertools.product(*rows_per_type):
         meter.tick()
@@ -205,16 +201,12 @@ def _ggasp_kernel(net: NetworkInstance):
 def oracle_ggasp(net: NetworkInstance, budget=None, collect_all=False) -> OracleResult:
     """Per-agent enumeration; connectivity breaks type symmetry, so the
     type-count shortcut is not available here."""
-    cap = resolve_budget(budget, DEFAULT_ORACLE_BUDGET)
     agents = net.agent_ids()
     choices = [EMPTY_ACTIVITY] + list(net.base.activities)
-    total = len(choices) ** len(agents)
-    if total > cap:
-        raise BudgetError(
-            f"ggasp oracle would enumerate {total} assignments, cap is {cap}")
+    meter = metered(budget, len(choices) ** len(agents), "ggasp oracle assignments",
+                    DEFAULT_ORACLE_BUDGET)
     stable = _ggasp_kernel(net)
     a = len(net.base.activities)
-    meter = WorkMeter()
     survivors = []
     for picks in itertools.product(range(a + 1), repeat=len(agents)):
         meter.tick()

@@ -27,11 +27,12 @@ points the tests compare the int reduction against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple
 
-from .budget import WorkMeter
-from .errors import BudgetError, InternalSolverError, InvalidInstanceError
+from .budget import metered
+from .errors import InternalSolverError, InvalidInstanceError
 from .model import (
     EMPTY_ACTIVITY,
     HOME,
@@ -48,8 +49,6 @@ from .solvers_sgasp import SolveResult, _ir_kernel
 
 # Reserved activity standing for "stays home" in derived instances.
 IDLE_ACTIVITY = "@idle"
-
-DEFAULT_TYPE_CAP = 4
 
 _PIN = "#pin"
 _REST = "#rest"
@@ -330,7 +329,7 @@ def _guess_reducer(inst: TypedInstance):
     return pools, caps, owner, reduce
 
 
-def solve_xp_gasp(inst: TypedInstance, *, max_types: int = DEFAULT_TYPE_CAP) -> SolveResult:
+def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
     """Decide whether a rank instance has a stable assignment.
 
     Enumerates minimal-alternative guesses in declaration order of the
@@ -339,20 +338,18 @@ def solve_xp_gasp(inst: TypedInstance, *, max_types: int = DEFAULT_TYPE_CAP) -> 
     decided by the shared `solvers_sgasp._ir_kernel` with every derived
     type attending in full; no per-guess instance is built.  The derived
     witness is mapped back as `pull_back` does and re-verified; a failed
-    re-check is an internal bug, never a NO.  Runs take |A|*n guesses per
-    type, so the type count is capped (override with max_types).
+    re-check is an internal bug, never a NO.  A sweep walks the product of
+    the guess pool sizes, up to |A|*n + 1 per type; a product above the
+    budget is refused up front.
     """
     _require_kind(inst, "gasp")
-    if len(inst.types) > max_types:
-        raise BudgetError(
-            f"{len(inst.types)} types exceed the cap of {max_types}; raise max_types to override")
     if not inst.types:
         return SolveResult(True, TypeCountAssignment(()), {"branches": 0, "skipped": 0})
     m = len(inst.activities)
     pools, caps, owner, reduce = _guess_reducer(inst)
-    find = _ir_kernel(caps)
+    meter = metered(budget, math.prod(map(len, pools)), "xp-gasp guesses")
+    find = _ir_kernel(caps, meter.limit)
     everyone = (1 << len(caps)) - 1
-    meter = WorkMeter()
     skipped = 0
     for combo in itertools.product(*pools):
         meter.tick()

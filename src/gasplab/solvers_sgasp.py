@@ -15,15 +15,19 @@ in `model.gamma_preprocess`:
   one, as a padded perfect bipartite matching.  FPT in #agents.
 
 All three re-verify their witnesses; a failed re-check is an internal bug,
-never a NO.
+never a NO.  Each counts its branches on one `WorkMeter` capped by
+`budget.resolve_budget(budget, DEFAULT_SOLVER_BUDGET)`; xp-t and fpt-n,
+whose branch counts are known before the sweep, refuse up front.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .budget import WorkMeter, check
+from .budget import DEFAULT_SOLVER_BUDGET, WorkMeter, check, metered, resolve_budget
 from .errors import BudgetError, InternalSolverError, InvalidInstanceError
 from .model import (
     TypeCountAssignment,
@@ -34,8 +38,6 @@ from .model import (
     verify_sgasp,
 )
 from .subsetsum import _MixedRadix, _mpss, _mpss_witness, _tss
-
-DEFAULT_AGENT_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def enumerate_acyclic_patterns(t_count: int, a_count: int,
         stack.append([top, j + 1, pat, [ct if c == ca else c for c in comp], covered, labels])
 
 
-def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
+def solve_fpt_ta(inst: TypedInstance, budget: Optional[int] = None) -> SolveResult:
     """Pattern branching plus tree subset sum.
 
     A pattern edge valued v means v agents of that type at that activity; a
@@ -134,13 +136,13 @@ def solve_fpt_ta(inst: TypedInstance) -> SolveResult:
     `enumerate_acyclic_patterns`.  The patterns left come in the unpruned
     order, so the first feasible one, and with it the answer and the
     witness, are those of the full sweep.  `branches` counts the patterns
-    handed to TSS.
+    handed to TSS; the budget caps that count as it goes.
     """
     _require_kind(inst, "sgasp")
     k = len(inst.types)
     m = len(inst.activities)
     masks = approval_masks(inst)
-    meter = WorkMeter()
+    meter = WorkMeter(resolve_budget(budget, DEFAULT_SOLVER_BUDGET))
     for q_mask in range(1 << k):
         q_idx = [i for i in range(k) if q_mask >> i & 1]
         pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
@@ -194,7 +196,7 @@ def _fill_splits(pos: int, left: int, allowed: Sequence[int], caps: Sequence[int
     vec[i] = 0
 
 
-def _ir_kernel(caps: Sequence[int]):
+def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
     """The perfect-IR decider behind `find_ir_assignment`, compiled for one
     solve: `find(masks, a_ne, q_mask)` on approval masks (bit s of
     masks[t][a]: type t approves size s at a) returns one k-vector per
@@ -215,10 +217,12 @@ def _ir_kernel(caps: Sequence[int]):
 
     The caps stay fixed within a solve, so the closure memoizes the vector
     set per (mask column, must-use flag) and each vector's (position, geq
-    mask); nothing outlives the closure.
+    mask); nothing outlives the closure.  A table of more than the resolved
+    budget's ∏(caps+1) positions is refused before anything is built.
     """
     k = len(caps)
     caps = tuple(caps)
+    metered(budget, math.prod(c + 1 for c in caps), "subset-sum table positions")
     radix = _MixedRadix(caps) if k else None
     vec_memo: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     set_memo: Dict[Tuple[Tuple[int, ...], int], tuple] = {}
@@ -302,18 +306,19 @@ def find_ir_assignment(inst: TypedInstance, q: Iterable[str],
     return None if picks is None else _columns_to_rows(picks, len(inst.types))
 
 
-def solve_xp_t(inst: TypedInstance) -> SolveResult:
+def solve_xp_t(inst: TypedInstance, budget: Optional[int] = None) -> SolveResult:
     """Q branching plus multidimensional subset sum over activity vectors.
 
     The approval masks are built once; each Q prunes them with
     `model.gamma_masks` and runs the shared `_ir_kernel`, whose caps (the
-    type counts) are the same for every Q.
+    type counts) are the same for every Q.  More than the budget's 2^|T| Q
+    masks, or kernel table positions, are refused up front.
     """
     _require_kind(inst, "sgasp")
     k = len(inst.types)
+    meter = metered(budget, 1 << k, "xp-t Q masks")
     masks = approval_masks(inst)
-    find = _ir_kernel([t.count for t in inst.types])
-    meter = WorkMeter()
+    find = _ir_kernel([t.count for t in inst.types], meter.limit)
     for q_mask in range(1 << k):
         meter.tick()
         pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
@@ -376,7 +381,7 @@ def _cover_matching(fits: Sequence[int], m: int, a_ne: int) -> Optional[List[int
     return [owner.index(g) for g in range(len(fits))]
 
 
-def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> SolveResult:
+def solve_fpt_n(inst: TypedInstance, budget: Optional[int] = None) -> SolveResult:
     """Branch over home sets and partitions of the attendees into groups,
     then match groups to activities.
 
@@ -391,15 +396,21 @@ def solve_fpt_n(inst: TypedInstance, max_agents: int = DEFAULT_AGENT_CAP) -> Sol
     as a perfect matching after adding m - #groups pad rows that fit exactly
     the other activities.  That is exact: a covering matching leaves
     m - #groups activities free, none must-use, for the pads; pads never
-    take a must-use activity, so a perfect matching covers them with groups."""
+    take a must-use activity, so a perfect matching covers them with groups.
+
+    A full sweep walks Bell(n+1) branches; more than the budget is refused
+    up front."""
     _require_kind(inst, "sgasp")
     n = inst.n
-    if n > max_agents:
-        raise BudgetError(f"{n} agents exceed the configured cap {max_agents}")
+    meter = WorkMeter(resolve_budget(budget, DEFAULT_SOLVER_BUDGET))
+    row = [1]  # Bell triangle: row[0] is Bell(i) after i steps
+    for _ in range(n + 1):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+        if row[0] > meter.limit:
+            raise BudgetError(f"fpt-n would walk Bell({n + 1}) > {meter.limit} branches")
     m = len(inst.activities)
     type_of = [i for i, t in enumerate(inst.types) for _ in range(t.count)]
     masks = approval_masks(inst)
-    meter = WorkMeter()
     for home_mask in range((1 << n) - 1, -1, -1):
         rest = [i for i in range(n) if not home_mask >> i & 1]
         pruned, a_ne = gamma_masks(masks, {type_of[i] for i in range(n) if home_mask >> i & 1})

@@ -1,13 +1,14 @@
-"""Deadlines and work meters: every algorithm stops at an expired deadline,
-a deadline holds only in the thread that set it, and an inner deadline
-never extends an outer one.  The clock is the test's, not the wall's."""
+"""Deadlines and work meters: every algorithm stops at an expired deadline
+and at an exhausted work budget, a deadline holds only in the thread that
+set it, and an inner deadline never extends an outer one.  The clock is the
+test's, not the wall's."""
 
 import threading
 
 import pytest
 
 from conftest import gasp_instance, sgasp_instance
-from gasplab import budget, cli
+from gasplab import budget, cli, formats
 from gasplab.errors import BudgetError, DeadlineError, InvalidSettingError
 from gasplab.generators import SMPSSInstance, random_partitioned_clique
 from gasplab.model import NetworkInstance
@@ -45,6 +46,21 @@ def test_every_algorithm_stops_at_an_expired_deadline(clock):
             with pytest.raises(DeadlineError, match="exceeded 1s"):
                 cli._run_alg(alg, INSTANCES[kind])
         clock[0] = 0
+
+
+def test_every_algorithm_stops_at_a_budget_of_one(capsys, tmp_path):
+    # every fixture needs more than one step: fpt-ta 2 patterns, xp-t 2 Q
+    # masks, fpt-n Bell(3) = 5 branches, xp-gasp 4 guesses, brute more
+    # than one matrix, search node or clique combination
+    runs = [(alg, kind) for alg, (kinds, _) in cli.ALGORITHMS.items() for kind in sorted(kinds)]
+    for alg, kind in runs:
+        with pytest.raises(BudgetError) as exc:
+            cli._run_alg(alg, INSTANCES[kind], budget=1)
+        assert not isinstance(exc.value, DeadlineError), (alg, kind)
+        path = str(tmp_path / f"{kind}.json")
+        formats.save_instance(INSTANCES[kind], path)
+        assert cli.main(["solve", "--alg", alg, "--in", path, "--budget", "1"]) == 3
+        assert "work budget exhausted" in capsys.readouterr().err, (alg, kind)
 
 
 def test_deadline_holds_only_in_its_own_thread(clock):

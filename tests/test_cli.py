@@ -171,16 +171,29 @@ def test_budget_flag_beats_env(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_structural_caps_raisable(tmp_path, capsys):
-    # 12 agents trips the fpt-n default cap; --max-agents lifts it.  All-home
-    # is stable here (nobody approves size 1), and it is branched on first.
+    # 12 agents take Bell(13) = 27,644,437 fpt-n branches, over the default
+    # budget; --budget lifts it.  All-home is stable here (nobody approves
+    # size 1), and it is branched on first.
     inst = write(tmp_path / "i.json",
                  sgasp_instance(["a1"], [("t1", 12, {"a1": {12}})]))
-    code, _, _ = run(capsys, "solve", "--alg", "fpt-n", "--in", inst)
-    assert code == 3
+    code, _, err = run(capsys, "solve", "--alg", "fpt-n", "--in", inst)
+    assert code == 3 and "work budget exhausted" in err
     code, out, _ = run(capsys, "solve", "--alg", "fpt-n", "--in", inst,
-                       "--max-agents", "12")
+                       "--budget", "27644437")
     assert code == 0
     assert json.loads(out)["exists"] is True
+
+
+def test_solve_xp_t_refuses_the_smpss_chain(tmp_path, capsys):
+    # 12 types, 3,924 agents: the subset-sum table is refused before it is
+    # built, instead of the process running out of memory
+    s, g = str(tmp_path / "s.json"), str(tmp_path / "g.json")
+    assert cli.main(["gen", "pc-smpss", "--k", "3", "--n", "2", "--m", "2", "--seed", "1",
+                     "--planted", "--out", s]) == 0
+    assert cli.main(["gen", "smpss-sgasp", "--in", s, "--out", g]) == 0
+    code, out, err = run(capsys, "solve", "--alg", "xp-t", "--in", g, "--timeout", "60")
+    assert code == 3 and out == ""
+    assert "work budget exhausted" in err and "subset-sum table positions" in err
 
 
 def chasing_network():
@@ -239,9 +252,11 @@ def bad_flag_exit(tmp_path, capsys, command, flag, value):
 @pytest.mark.parametrize("flag", ["--max-agents", "--max-types"])
 @pytest.mark.parametrize("value", ["-1", "-5", "x"])
 def test_caps_must_be_nonneg_int(tmp_path, capsys, command, flag, value):
+    # the structural caps are retired in favour of --budget: whatever their
+    # value, an old command line is an input error, not silently uncapped
     code, err = bad_flag_exit(tmp_path, capsys, command, flag, value)
     assert code == 2
-    assert flag in err and "integer >= 0" in err
+    assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
@@ -453,14 +468,15 @@ def test_bench_budget_marker(tmp_path, capsys):
     rows = list(csv.DictReader(open(out_csv)))
     answers = {r["algorithm"]: r["answer"] for r in rows}
     assert answers["brute"] == "budget"
-    assert answers["fpt-ta"] == "yes"  # exact solver ignores the brute cap
+    assert answers["fpt-ta"] == "budget"  # it needs 2 patterns here
 
 
 def test_bench_structural_caps(tmp_path, capsys):
-    # bench takes solve's --max-agents / --max-types and hands them on
+    # bench hands --budget to the solvers: fpt-n would walk Bell(4) = 15
+    # branches on 3 agents, xp-gasp 2 x 2 guesses on NO_GASP
     three = sgasp_instance(["a1"], [("t1", 3, {"a1": {1, 3}})])
-    for alg, inst, cap, answer in (("fpt-n", three, ["--max-agents", "2"], "yes"),
-                                   ("xp-gasp", NO_GASP, ["--max-types", "1"], "no")):
+    for alg, inst, cap, answer in (("fpt-n", three, ["--budget", "14"], "yes"),
+                                   ("xp-gasp", NO_GASP, ["--budget", "3"], "no")):
         suite = bench_suite(tmp_path, [inst])
         for extra, code_want, cell in (([], 0, answer), (cap, 3, "budget")):
             code, out, _ = run(capsys, "bench", "--suite", suite, "--alg", alg, *extra)
@@ -490,8 +506,8 @@ def test_bench_disagreement(tmp_path, capsys, monkeypatch):
     suite = bench_suite(tmp_path, [YES_SGASP])
     real = cli._run_alg
 
-    def lying(alg, inst, budget=None, **caps):
-        exists, w, stats = real(alg, inst, budget, **caps)
+    def lying(alg, inst, budget=None):
+        exists, w, stats = real(alg, inst, budget)
         if alg == "xp-t":
             return not exists, None, stats
         return exists, w, stats

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from gasplab.errors import InvalidInstanceError
+from gasplab.errors import BudgetError, InvalidInstanceError
 from gasplab.generators import (
     PartitionedCliqueInstance,
     SMPSSInstance,
@@ -95,6 +95,10 @@ def test_find_clique():
     parts = (("u1", "u2"), ("w1", "w2"), ("z1", "z2"))
     edges = frozenset({("u1", "w1"), ("u2", "z1"), ("w2", "z2")})
     assert find_clique(PartitionedCliqueInstance(parts, edges)) is None
+    # 2^3 combinations: refused up front under a smaller budget
+    with pytest.raises(BudgetError, match="8 clique combinations, cap is 7"):
+        find_clique(tiny_pc(), budget=7)
+    assert find_clique(tiny_pc(), budget=8) == ("u1", "w1", "z1")
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,12 @@ def test_solve_empty_instance():
 
 
 def test_solve_type_cap():
-    inst = gasp_instance(["a"], [(f"t{i}", 1, {}) for i in range(5)])
-    with pytest.raises(BudgetError):
-        solve_xp_gasp(inst)
-    res = solve_xp_gasp(inst, max_types=5)
-    assert res.exists and res.witness == x([[0]] * 5)
+    # each type's pool is (a, 1) and home: 2^5 guesses
+    inst = gasp_instance(["a"], [(f"t{i}", 1, {("a", 1): 1}) for i in range(5)])
+    with pytest.raises(BudgetError, match="32 xp-gasp guesses, cap is 31"):
+        solve_xp_gasp(inst, budget=31)
+    res = solve_xp_gasp(inst, budget=32)
+    assert res.exists and verify_gasp(inst, res.witness).stable
 
 
 def test_solve_requires_rank_instance():

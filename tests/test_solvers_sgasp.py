@@ -1,11 +1,14 @@
 import gc
 import itertools
+import math
 import random
 
 import pytest
 
 from conftest import ir_reference, random_sgasp, random_sgasp_laddered, sgasp_instance
+from gasplab import solvers_sgasp
 from gasplab.errors import BudgetError, InvalidInstanceError
+from gasplab.generators import pc_to_smpss, random_partitioned_clique, smpss_to_sgasp
 from gasplab.model import (
     TypeCountAssignment,
     TypedInstance,
@@ -267,10 +270,30 @@ def test_fpt_n_lonely_agent():
 
 
 def test_fpt_n_agent_cap():
+    # the default budget walks Bell(11) = 678,570 branches, not Bell(12)
+    assert solve_fpt_n(sgasp_instance(["a"], [("t1", 10, {"a": {10}})])).exists
     inst = sgasp_instance(["a"], [("t1", 11, {"a": {11}})])
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"Bell\(12\)"):
         solve_fpt_n(inst)
-    assert solve_fpt_n(inst, max_agents=11).exists
+    assert solve_fpt_n(inst, budget=4_213_597).exists
+
+
+def test_xp_t_refuses_the_smpss_chain_table_up_front(monkeypatch):
+    # smpss_to_sgasp(pc_to_smpss(pc)) has 12 types and 3,924 agents; its
+    # subset-sum table would need prod(count + 1) ~ 7.3e22 positions
+    pc = random_partitioned_clique(3, 2, 2, seed=1, planted=True)
+    inst = smpss_to_sgasp(pc_to_smpss(pc))
+    counts = [t.count for t in inst.types]
+    assert len(counts) == 12 and sum(counts) == 3924
+    size = math.prod(c + 1 for c in counts)
+    assert size > 10 ** 22
+    # refused before a single vector set or mask is built
+    monkeypatch.setattr(solvers_sgasp, "_activity_vectors", None)
+    monkeypatch.setattr(solvers_sgasp, "_MixedRadix", None)
+    with pytest.raises(BudgetError, match=f"would enumerate {size} subset-sum table"):
+        solve_xp_t(inst)
+    with pytest.raises(BudgetError, match=f"{size} subset-sum table"):
+        solve_xp_t(inst, budget=10 ** 22)
 
 
 def test_fpt_n_partitions_in_order_without_reference_cycles():
