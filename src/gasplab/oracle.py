@@ -15,9 +15,16 @@ count are those of an enumerate-verify-collect loop.
 
 For the typed variants the enumeration runs over per-type attendance counts
 rather than per-agent choices, which is equivalent because agents of one
-type are interchangeable, and exponentially smaller.  A budget check up
-front refuses instances that would enumerate too much; refusing is never
-reported as NO.
+type are interchangeable, and exponentially smaller.  The count matrices
+are walked depth-first over the types, in the order of `itertools.product`
+over each type's rows.  Each typed kernel also gives, per type row, a
+bitmask per activity of the sizes any stable matrix using that row can have
+there (exact for sgasp, a necessary relaxation for gasp).  A node whose
+rows' masks leave some activity no size its remaining agents can reach
+holds no stable matrix: it is cut, and the work meter is ticked once with
+its leaf count.  So the order, the witnesses and `explored` stay those of
+the full product.  A budget check up front refuses instances that would
+enumerate too much; refusing is never reported as NO.
 """
 
 from __future__ import annotations
@@ -77,7 +84,12 @@ def _count_matrices(inst: TypedInstance) -> int:
 def _sgasp_kernel(inst: TypedInstance):
     """Stability of a type-count matrix on approval bitmasks (bit s: size s):
     every attended activity approves its size, and a type with an agent at
-    home approves no activity at its size plus one."""
+    home approves no activity at its size plus one.
+
+    `row_masks(ti, home, attended)` gives, per activity, the sizes (bit s)
+    at which a row of type ti passes those tests; the two tests read one
+    size each, so a matrix is stable exactly when every row's masks hold
+    the final sizes."""
     masks = approval_masks(inst)
 
     def stable(rows, sizes):
@@ -91,15 +103,30 @@ def _sgasp_kernel(inst: TypedInstance):
                         return False
         return True
 
-    return stable
+    def row_masks(ti, home, attended):
+        mrow = masks[ti]
+        out = [~(m >> 1) for m in mrow] if home else [-1] * len(mrow)
+        for ai in attended:
+            out[ai] &= mrow[ai]
+        return out
+
+    return stable, row_masks
 
 
 def _gasp_kernel(inst: TypedInstance):
     """Stability of a type-count matrix on int rank tables: from no occupied
     alternative (attended activity at its size, or home) may a type strictly
     improve by joining another activity at its size plus one, and no attended
-    alternative ranks below home."""
-    tables = [_rank_table(t.prefs, inst.activities, inst.n) for t in inst.types]
+    alternative ranks below home.
+
+    `row_masks(ti, home, attended)` gives, per activity, sizes (bit s) that
+    every stable matrix using the row has there, a necessary relaxation:
+    with someone home, no activity may rank above home at its size plus
+    one; an attended activity must rank at least home at its size, and no
+    other activity may rank, at its size plus one, above the best such
+    rank."""
+    n = inst.n
+    tables = [_rank_table(t.prefs, inst.activities, n) for t in inst.types]
     homes = [t.prefs.home_rank for t in inst.types]
 
     def stable(rows, sizes):
@@ -116,28 +143,110 @@ def _gasp_kernel(inst: TypedInstance):
                         return False
         return True
 
-    return stable
+    def grown_at_most(r, cap):
+        """Sizes s in 0..n with r[s + 1] <= cap, as a bitmask."""
+        return sum(1 << s for s in range(n + 1) if r[s + 1] <= cap)
+
+    def type_masks(rank, home_rank):
+        """The masks of someone home, and per activity ai those of attending
+        it (at ai its sizes ranked at least home, elsewhere the sizes that
+        do not grow above the best of them)."""
+        at_home = [grown_at_most(r, home_rank) for r in rank]
+        attend = []
+        for ai, r in enumerate(rank):
+            ok = [s for s in range(n + 1) if r[s] >= home_rank]
+            best = max((r[s] for s in ok), default=None)
+            attend.append([sum(1 << s for s in ok) if bi == ai
+                           else -1 if best is None else grown_at_most(rb, best)
+                           for bi, rb in enumerate(rank)])
+        return at_home, attend
+
+    parts = [type_masks(rank, home_rank) for rank, home_rank in zip(tables, homes)]
+
+    def row_masks(ti, home, attended):
+        at_home, attend = parts[ti]
+        out = at_home if home else [-1] * len(at_home)
+        for ai in attended:
+            out = [m & x for m, x in zip(out, attend[ai])]
+        return out
+
+    return stable, row_masks
+
+
+def _leaves(pools, counts, a, meter):
+    """The matrices of `itertools.product(*pools)`, in that order, whose rows'
+    masks can still hold their column sizes, as (rows, sizes).
+
+    `pools[d]` holds type d's (row, masks) pairs and `counts[d]` its agents.
+    The walk is depth-first over the types; a node carries the partial
+    column sizes and the AND of its rows' masks.  A final size lies in
+    [partial, partial + spare], spare being the agents of the types below
+    the node, so once some activity's mask has no bit there, no matrix
+    below the node is stable: the node is cut and the meter ticked once with
+    its leaf count.  Every other leaf ticks once before it is yielded, so
+    `meter.spent` always counts the matrices in product order up to the
+    current one.  The yielded rows list is reused: read it before the next
+    leaf."""
+    k = len(pools)
+    if not k:
+        meter.tick()
+        yield (), [0] * a
+        return
+    # per type d: the bits partial..partial+spare and the matrices under one
+    # of its rows
+    windows, below = [0] * k, [0] * k
+    spare, leaves = 0, 1
+    for d in range(k - 1, -1, -1):
+        windows[d], below[d] = (2 << spare) - 1, leaves
+        spare += counts[d]
+        leaves *= len(pools[d])
+    rows = [None] * k
+    path = [([0] * a, [-1] * a)]  # (sizes, masks) above each open depth
+    pending = [iter(pools[0])]
+    while pending:
+        d = len(pending) - 1
+        item = next(pending[-1], None)
+        if item is None:
+            pending.pop()
+            path.pop()
+            continue
+        row, row_masks = item
+        sizes, masks = path[-1]
+        sizes = [s + c for s, c in zip(sizes, row[0])]
+        masks = [m & r for m, r in zip(masks, row_masks)]
+        window = windows[d]
+        if not all((m >> s) & window for m, s in zip(masks, sizes)):
+            meter.tick(below[d])
+            continue
+        rows[d] = row
+        if d + 1 < k:
+            pending.append(iter(pools[d + 1]))
+            path.append((sizes, masks))
+            continue
+        meter.tick()
+        yield rows, sizes
 
 
 def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
     meter = metered(budget, _count_matrices(inst), f"{variant} oracle matrices",
                     DEFAULT_ORACLE_BUDGET)
     a = len(inst.activities)
-    stable = kernel(inst)
-    # per type: attendance counts over activities (the remainder stays home),
-    # whether anyone stays home, and the attended activity indices
-    rows_per_type = [
-        [(row[:a], row[a] > 0, tuple(ai for ai in range(a) if row[ai]))
-         for row in _compositions(t.count, a + 1)]
-        for t in inst.types
-    ]
+    stable, row_masks = kernel(inst)
+    # per type, in _compositions order: the row as the kernel reads it
+    # (attendance counts over activities, the remainder staying home;
+    # whether anyone stays home; the attended activity indices) and its masks
+    pools = []
+    for ti, t in enumerate(inst.types):
+        pool = []
+        for comp in _compositions(t.count, a + 1):
+            row = (comp[:a], comp[a] > 0, tuple(ai for ai in range(a) if comp[ai]))
+            pool.append((row, row_masks(ti, row[1], row[2])))
+        pools.append(pool)
     survivors = []
-    for rows in itertools.product(*rows_per_type):
-        meter.tick()
-        counts = [row[0] for row in rows]
-        if not stable(rows, [sum(col) for col in zip(*counts)]):
+    for rows, sizes in _leaves(pools, [t.count for t in inst.types], a, meter):
+        if not stable(rows, sizes):
             continue
-        x = TypeCountAssignment(tuple(counts))
+        x = TypeCountAssignment(tuple(row[0] for row in rows))
         if not verify(inst, x).stable:
             raise InternalSolverError(
                 f"{variant} oracle kernel calls {x.counts} stable, the verifier does not")

@@ -218,11 +218,14 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
     The caps stay fixed within a solve, so the closure memoizes the vector
     set per (mask column, must-use flag) and each vector's (position, geq
     mask); nothing outlives the closure.  A table of more than the resolved
-    budget's ∏(caps+1) positions is refused before anything is built.
+    budget's ∏(caps+1) positions is refused before anything is built.  Each
+    set holds at most that many vectors, but m of them could hold m times
+    as many, so the sets one fold takes spend the same budget as they are
+    gathered: each adds its vector count, memo hits included.
     """
     k = len(caps)
     caps = tuple(caps)
-    metered(budget, math.prod(c + 1 for c in caps), "subset-sum table positions")
+    limit = metered(budget, math.prod(c + 1 for c in caps), "subset-sum table positions").limit
     radix = _MixedRadix(caps) if k else None
     vec_memo: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     set_memo: Dict[Tuple[Tuple[int, ...], int], tuple] = {}
@@ -257,7 +260,11 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
         if not k:
             # nobody to send anywhere; feasible iff nothing must be nonempty
             return None if a_ne else []
-        sets = [vector_set(col, a_ne >> a & 1) for a, col in enumerate(zip(*masks))]
+        held = WorkMeter(limit)
+        sets = []
+        for a, col in enumerate(zip(*masks)):
+            sets.append(vector_set(col, a_ne >> a & 1))
+            held.tick(len(sets[-1][0]))
         pairs = [p for _, p in sets]
         prefixes = _mpss(pairs)
         table = prefixes[-1]

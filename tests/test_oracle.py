@@ -14,7 +14,8 @@ from conftest import (
     random_sgasp_laddered,
     sgasp_instance,
 )
-from gasplab.errors import BudgetError, InvalidSettingError
+from gasplab import budget, oracle
+from gasplab.errors import BudgetError, DeadlineError, InvalidSettingError
 from gasplab.model import (
     EMPTY_ACTIVITY,
     HOME,
@@ -31,6 +32,9 @@ from gasplab.model import (
     verify_sgasp,
 )
 from gasplab.oracle import (
+    _count_matrices,
+    _gasp_kernel,
+    _sgasp_kernel,
     oracle_gasp,
     oracle_ggasp,
     oracle_sgasp,
@@ -330,3 +334,79 @@ def test_kernels_match_verifiers():
     for net in nets:
         res = oracle_ggasp(net, collect_all=True)
         assert list(res.witnesses) == _stable_picks(net), net
+
+
+def test_row_masks_hold_every_stable_matrix():
+    """The property the oracles' cut relies on: for every matrix its verifier
+    calls stable, each type's row masks hold the final column sizes.  For
+    sgasp the masks are exact, so the converse holds there too."""
+    rng = random.Random(8106)
+    makers = (random_sgasp, random_sgasp_laddered, random_gasp, random_gasp_windowed)
+    typed = list(EDGE_TYPED) + [makers[i % 4](rng) for i in range(400)]
+    typed += [lift_sgasp(inst) for inst in typed if inst.kind == "sgasp"]
+    for inst in typed:
+        sgasp = inst.kind == "sgasp"
+        kernel, verify = (_sgasp_kernel, verify_sgasp) if sgasp else (_gasp_kernel, verify_gasp)
+        _, row_masks = kernel(inst)
+        for x in all_assignments(inst):
+            sizes = x.column_sums()
+            held = all(
+                (m >> s) & 1
+                for ti, (t, row) in enumerate(zip(inst.types, x.counts))
+                for m, s in zip(row_masks(ti, sum(row) < t.count,
+                                          tuple(ai for ai, c in enumerate(row) if c)), sizes))
+            if verify(inst, x).stable:
+                assert held, (inst, x)
+            elif sgasp:
+                assert not held, (inst, x)
+
+
+def _counting(monkeypatch, name):
+    """Replace the oracle kernel `name` by one whose `stable` records its calls."""
+    kernel = getattr(oracle, name)
+    calls = []
+
+    def counted(inst):
+        stable, row_masks = kernel(inst)
+
+        def wrapped(rows, sizes):
+            calls.append(sizes)
+            return stable(rows, sizes)
+
+        return wrapped, row_masks
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+# C10's NO family at 5 agents, and perfbench's oracle-check shapes: 4+4
+# singleton seekers (4,900 matrices) and the rank lift of 3+4 (2,800)
+NO_MEMBERS = [_seekers(3, (2, 2), 1), _seekers(3, (4, 4), 1), lift_sgasp(_seekers(3, (3, 4), 1))]
+
+
+@pytest.mark.parametrize("inst", NO_MEMBERS)
+def test_cut_keeps_explored_and_skips_most_leaves(inst, monkeypatch):
+    sgasp = inst.kind == "sgasp"
+    run = oracle_sgasp if sgasp else oracle_gasp
+    calls = _counting(monkeypatch, "_sgasp_kernel" if sgasp else "_gasp_kernel")
+    matrices = _count_matrices(inst)
+    res = run(inst, collect_all=True)
+    assert not res.exists and res.explored == matrices
+    assert len(calls) <= matrices // 4
+    with pytest.raises(BudgetError, match=f"would enumerate {matrices} "):
+        run(inst, budget=matrices - 1)
+
+
+def test_cut_subtree_still_checks_the_deadline(monkeypatch):
+    # everyone of t1 home forbids sizes 0 and 1 at a, and t2's one agent
+    # cannot lift a past 1: the first subtree is cut before any leaf ticks
+    inst = sgasp_instance(["a"], [("t1", 1, {"a": {1, 2}}), ("t2", 1, {})])
+    calls = _counting(monkeypatch, "_sgasp_kernel")
+    now = [0.0]
+    monkeypatch.setattr(budget, "_clock", lambda: now[0])
+    with budget.deadline(1):
+        now[0] = 2
+        with pytest.raises(DeadlineError, match="exceeded 1s"):
+            oracle_sgasp(inst)
+    assert calls == []
+    assert oracle_sgasp(inst).explored == 3  # the cut counts its 2 leaves

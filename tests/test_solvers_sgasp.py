@@ -402,6 +402,18 @@ def test_ir_kernel_matches_reference_per_q():
     assert found > 100
 
 
+def test_ir_kernel_fold_vectors_spend_the_budget():
+    # caps (2, 2): the table holds 9 positions, so a budget of 9 passes its
+    # guard.  Both types approving sizes 1-4 at a and 1-3 at b hand the fold
+    # vector sets of 9 and 8 (the zero vector included): 17 > 9 is refused.
+    masks = [[0b11110, 0b1110], [0b11110, 0b1110]]
+    with pytest.raises(BudgetError, match="17 > 9"):
+        _ir_kernel([2, 2], budget=9)(masks, 0, 0b11)
+    find = _ir_kernel([2, 2], budget=17)
+    # the budget holds per fold: memoized sets count again, folds do not add up
+    assert find(masks, 0, 0b11) == find(masks, 0, 0b11) == [(2, 2), (0, 0)]
+
+
 # ---------------------------------------------------------------------------
 # agreement fuzz
 
