@@ -11,6 +11,9 @@ for them.  Both given forms must be an integer >= 1; anything else raises
 `InvalidSettingError`.  Each tick, and `check` inside long steps, also read
 the deadline, so a run under `deadline(seconds)` stops with
 `DeadlineError`; a `ContextVar` keeps each thread's deadline its own.
+`walk` is the one depth-first sweep of a product of pools, the typed
+oracles' count matrices and xp-gasp's guesses: a subtree it cuts ticks the
+meter once with its leaf count, so `spent` stays the product's count.
 """
 
 import os
@@ -100,3 +103,43 @@ class WorkMeter:
             raise BudgetError(
                 f"work budget exceeded: {self.spent} > {self.limit} steps")
         check()
+
+
+def walk(pools, root, step, meter):
+    """The leaves of `itertools.product(*pools)` (no item None), in that
+    order, that no prefix cuts, as (items, state), depth-first.
+
+    `step(state, item, depth)` gives a child's state from its parent's
+    (`root` above depth 0), or None to cut the child's subtree, which ticks
+    the meter once with its leaf count.  Every other leaf ticks once before
+    it is yielded, so `meter.spent` counts the leaves in product order up
+    to the current one.  The yielded items list is reused."""
+    k = len(pools)
+    if not k:
+        meter.tick()
+        yield [], root
+        return
+    below = [1] * k  # the leaves under one item at each depth
+    for d in range(k - 2, -1, -1):
+        below[d] = below[d + 1] * len(pools[d + 1])
+    items = [None] * k
+    states = [root]  # the state above each open depth
+    pending = [iter(pools[0])]
+    while pending:
+        d = len(pending) - 1
+        item = next(pending[-1], None)
+        if item is None:
+            pending.pop()
+            states.pop()
+            continue
+        state = step(states[-1], item, d)
+        if state is None:
+            meter.tick(below[d])
+            continue
+        items[d] = item
+        if d + 1 < k:
+            pending.append(iter(pools[d + 1]))
+            states.append(state)
+            continue
+        meter.tick()
+        yield items, state

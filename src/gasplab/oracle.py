@@ -16,14 +16,16 @@ count are those of an enumerate-verify-collect loop.
 For the typed variants the enumeration runs over per-type attendance counts
 rather than per-agent choices, which is equivalent because agents of one
 type are interchangeable, and exponentially smaller.  The count matrices
-are walked depth-first over the types, in the order of `itertools.product`
-over each type's rows.  Each typed kernel also gives, per type row, a
-bitmask per activity of the sizes any stable matrix using that row can have
-there (exact for sgasp, a necessary relaxation for gasp).  A node whose
-rows' masks leave some activity no size its remaining agents can reach
-holds no stable matrix: it is cut, and the work meter is ticked once with
-its leaf count.  So the order, the witnesses and `explored` stay those of
-the full product.  A budget check up front refuses instances that would
+are walked by `budget.walk`, depth-first over the types, in the order of
+`itertools.product` over each type's rows.  Each typed kernel gives, per
+type row, a bitmask per activity of the sizes any stable matrix using that
+row can have there (exact for sgasp, a necessary relaxation for gasp).  The
+walk's step keeps the partial column sizes and the AND of the chosen rows'
+masks, and cuts a node whose masks leave some activity no size its
+remaining agents can reach; the meter ticks once with the cut leaves.  So
+the order, the witnesses and `explored` stay those of the full product.  A
+leaf that passes this window is stable for sgasp, so only gasp's kernel
+keeps a leaf test.  A budget check up front refuses instances that would
 enumerate too much; refusing is never reported as NO.
 """
 
@@ -34,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .budget import metered
+from .budget import metered, walk
 from .errors import InternalSolverError
 from .model import (
     EMPTY_ACTIVITY,
@@ -87,21 +89,11 @@ def _sgasp_kernel(inst: TypedInstance):
     home approves no activity at its size plus one.
 
     `row_masks(ti, home, attended)` gives, per activity, the sizes (bit s)
-    at which a row of type ti passes those tests; the two tests read one
+    at which a row of type ti passes those tests.  The two tests read one
     size each, so a matrix is stable exactly when every row's masks hold
-    the final sizes."""
+    the final sizes: the walk's window alone decides, and no leaf test is
+    returned (None)."""
     masks = approval_masks(inst)
-
-    def stable(rows, sizes):
-        for mrow, (_, home, attended) in zip(masks, rows):
-            for ai in attended:
-                if not (mrow[ai] >> sizes[ai]) & 1:
-                    return False
-            if home:
-                for m, s in zip(mrow, sizes):
-                    if (m >> (s + 1)) & 1:
-                        return False
-        return True
 
     def row_masks(ti, home, attended):
         mrow = masks[ti]
@@ -110,7 +102,7 @@ def _sgasp_kernel(inst: TypedInstance):
             out[ai] &= mrow[ai]
         return out
 
-    return stable, row_masks
+    return None, row_masks
 
 
 def _gasp_kernel(inst: TypedInstance):
@@ -130,7 +122,7 @@ def _gasp_kernel(inst: TypedInstance):
     homes = [t.prefs.home_rank for t in inst.types]
 
     def stable(rows, sizes):
-        for rank, home_rank, (_, home, attended) in zip(tables, homes, rows):
+        for rank, home_rank, (_, home, attended, _) in zip(tables, homes, rows):
             grown = [r[s + 1] for r, s in zip(rank, sizes)]
             if home and any(g > home_rank for g in grown):
                 return False
@@ -173,60 +165,6 @@ def _gasp_kernel(inst: TypedInstance):
     return stable, row_masks
 
 
-def _leaves(pools, counts, a, meter):
-    """The matrices of `itertools.product(*pools)`, in that order, whose rows'
-    masks can still hold their column sizes, as (rows, sizes).
-
-    `pools[d]` holds type d's (row, masks) pairs and `counts[d]` its agents.
-    The walk is depth-first over the types; a node carries the partial
-    column sizes and the AND of its rows' masks.  A final size lies in
-    [partial, partial + spare], spare being the agents of the types below
-    the node, so once some activity's mask has no bit there, no matrix
-    below the node is stable: the node is cut and the meter ticked once with
-    its leaf count.  Every other leaf ticks once before it is yielded, so
-    `meter.spent` always counts the matrices in product order up to the
-    current one.  The yielded rows list is reused: read it before the next
-    leaf."""
-    k = len(pools)
-    if not k:
-        meter.tick()
-        yield (), [0] * a
-        return
-    # per type d: the bits partial..partial+spare and the matrices under one
-    # of its rows
-    windows, below = [0] * k, [0] * k
-    spare, leaves = 0, 1
-    for d in range(k - 1, -1, -1):
-        windows[d], below[d] = (2 << spare) - 1, leaves
-        spare += counts[d]
-        leaves *= len(pools[d])
-    rows = [None] * k
-    path = [([0] * a, [-1] * a)]  # (sizes, masks) above each open depth
-    pending = [iter(pools[0])]
-    while pending:
-        d = len(pending) - 1
-        item = next(pending[-1], None)
-        if item is None:
-            pending.pop()
-            path.pop()
-            continue
-        row, row_masks = item
-        sizes, masks = path[-1]
-        sizes = [s + c for s, c in zip(sizes, row[0])]
-        masks = [m & r for m, r in zip(masks, row_masks)]
-        window = windows[d]
-        if not all((m >> s) & window for m, s in zip(masks, sizes)):
-            meter.tick(below[d])
-            continue
-        rows[d] = row
-        if d + 1 < k:
-            pending.append(iter(pools[d + 1]))
-            path.append((sizes, masks))
-            continue
-        meter.tick()
-        yield rows, sizes
-
-
 def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
     meter = metered(budget, _count_matrices(inst), f"{variant} oracle matrices",
                     DEFAULT_ORACLE_BUDGET)
@@ -240,11 +178,25 @@ def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
         pool = []
         for comp in _compositions(t.count, a + 1):
             row = (comp[:a], comp[a] > 0, tuple(ai for ai in range(a) if comp[ai]))
-            pool.append((row, row_masks(ti, row[1], row[2])))
+            pool.append(row + (row_masks(ti, row[1], row[2]),))
         pools.append(pool)
+    # per depth, the bits partial..partial + spare of a final size, spare
+    # being the agents of the types below
+    windows = [(2 << sum(t.count for t in inst.types[d + 1:])) - 1
+               for d in range(len(inst.types))]
+
+    def step(state, row, d):
+        sizes, masks = state
+        sizes = [s + c for s, c in zip(sizes, row[0])]
+        masks = [m & r for m, r in zip(masks, row[3])]
+        window = windows[d]
+        if all((m >> s) & window for m, s in zip(masks, sizes)):
+            return sizes, masks
+        return None
+
     survivors = []
-    for rows, sizes in _leaves(pools, [t.count for t in inst.types], a, meter):
-        if not stable(rows, sizes):
+    for rows, (sizes, _) in walk(pools, ([0] * a, [-1] * a), step, meter):
+        if stable is not None and not stable(rows, sizes):
             continue
         x = TypeCountAssignment(tuple(row[0] for row in rows))
         if not verify(inst, x).stable:

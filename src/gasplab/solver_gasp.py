@@ -18,7 +18,9 @@ back to an assignment some residual agent deserts.
 once into an int rank table rank[t][a][s] for s in 0..n+1 and per-guess
 bitmasks (`_guess_reducer`), applies `gtosg_reduce`'s rules to them, and
 hands the derived approval masks to `solvers_sgasp._ir_kernel`, the kernel
-`xp-t` uses too.  The idle column is the index past the real activities, so
+`xp-t` uses too.  The guesses are walked as a prefix tree on `budget.walk`,
+folded one type at a time, and a prefix already inconsistent is cut with
+all its guesses.  The idle column is the index past the real activities, so
 a real activity may be named like IDLE_ACTIVITY.  `gtosg_reduce`,
 `pull_back`, `MinimalGuess` and `DerivedSGasp` stay as the reference entry
 points the tests compare the int reduction against.
@@ -26,12 +28,11 @@ points the tests compare the int reduction against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple
 
-from .budget import metered
+from .budget import metered, walk
 from .errors import InternalSolverError, InvalidInstanceError
 from .model import (
     EMPTY_ACTIVITY,
@@ -236,15 +237,17 @@ def _candidates(inst: TypedInstance, t: AgentType):
 def _guess_reducer(inst: TypedInstance):
     """`gtosg_reduce` compiled for one instance, on plain ints.
 
-    Returns (pools, caps, owner, reduce).  pools[t] is type t's guess pool
-    in `_candidates` order; each entry is (alternative, activity index (m,
-    the idle column, for home), pin label, successors, alone, accepted).
-    The pin label is the guessed size, or every size for home.  The rest
-    are bitmasks over sizes (bit s: size s) or activities, taken against
-    the entry's rank r:
+    Returns (pools, caps, owner, root, fold, build).  pools[t] is type t's
+    guess pool in `_candidates` order; each entry is (alternative, activity
+    index (m, the idle column, for home), pin label, successors, threats,
+    alone, accepted).  The pin label is the guessed size, or every size for
+    home.  The rest are bitmasks over sizes (bit s: size s) or activities,
+    taken against the entry's rank r:
 
     * successors[a]: sizes i < n at a whose successor i+1 the type ranks
       above r, the sizes it strikes;
+    * threats: successors with the pinned activity's entry cleared, the
+      struck sizes that make a guess pinned elsewhere unrealizable;
     * alone: the activities the type would enter alone, ranked above r;
     * accepted[a]: the sizes at a ranked at least r, with the idle column
       (all sizes, or none if home ranks below r) last.
@@ -252,10 +255,15 @@ def _guess_reducer(inst: TypedInstance):
     caps are the counts of the derived types, a pin then, for counts above
     one, a rest per source type, and owner[d] is derived type d's source
     type; neither depends on the guess.
-    reduce(combo) takes one entry per type and returns the derived approval
-    masks (idle column last), the must-use activities as a bitmask, and the
-    consistency flag, each equal to what `gtosg_reduce` and `approval_masks`
-    give for that guess.
+
+    fold(state, entry) adds one type's entry to a guess's state (struck,
+    guessed, threat, a_ne, consistent), root for no type: per activity the
+    struck sizes, the guessed sizes and those struck by types pinned
+    elsewhere, then the must-use activities.  A guess is consistent while
+    no guessed size is threatened, and guessed & threat only grows, so an
+    inconsistent prefix stays so.  build(combo, state) makes a guess's
+    derived approval masks (idle column last).  Masks, a_ne and the flag
+    equal what `gtosg_reduce` and `approval_masks` give for that guess.
     """
     n, m = inst.n, len(inst.activities)
     aidx = inst.activity_index()
@@ -272,10 +280,11 @@ def _guess_reducer(inst: TypedInstance):
                 a, pin = aidx[alt[0]], 1 << alt[1]
                 r = rank[a][alt[1]]
             successors = [sum(1 << i for i in range(1, n) if row[i + 1] > r) for row in rank]
+            threats = [0 if b == a else x for b, x in enumerate(successors)]
             alone = sum(1 << b for b, row in enumerate(rank) if row[1] > r)
             accepted = [sum(1 << i for i in range(1, n + 1) if row[i] >= r) for row in rank]
             accepted.append(every if home >= r else 0)
-            pool.append((alt, a, pin, successors, alone, accepted))
+            pool.append((alt, a, pin, successors, threats, alone, accepted))
         pools.append(pool)
     caps, owner = [], []
     for ti, t in enumerate(inst.types):
@@ -284,28 +293,28 @@ def _guess_reducer(inst: TypedInstance):
         if t.count > 1:
             caps.append(t.count - 1)
             owner.append(ti)
+    root = ([0] * m, [0] * m, [0] * m, 0, True)
 
-    def reduce(combo):
-        struck, guessed = [0] * m, [0] * m
-        a_ne = 0
-        for _, a, pin, successors, alone, _ in combo:
-            struck = [x | y for x, y in zip(struck, successors)]
-            a_ne |= alone
-            if a < m:
-                guessed[a] |= pin
-        removed = [g & x for g, x in zip(guessed, struck)]
-        consistent, floors = True, ()
-        if any(removed):
-            # a struck guess stays realizable only while no type pinned at
-            # another activity prefers its successor
-            consistent = not any(
-                removed[b] & successors[b]
-                for _, a, _, successors, _, _ in combo for b in range(m) if b != a)
-            floors = [(b, i) for b, mask in enumerate(removed)
-                      for i in range(1, n) if mask >> i & 1]
+    def fold(state, entry):
+        struck, guessed, threat, a_ne, _ = state
+        _, a, pin, successors, threats, alone, _ = entry
+        struck = [x | y for x, y in zip(struck, successors)]
+        threat = [x | y for x, y in zip(threat, threats)]
+        if a < m:
+            guessed = guessed.copy()
+            guessed[a] |= pin
+        consistent = not any(g & x for g, x in zip(guessed, threat))
+        return struck, guessed, threat, a_ne | alone, consistent
+
+    def build(combo, state):
+        struck, guessed = state[0], state[1]
+        # struck guesses stay seats; residual agents seated elsewhere must
+        # weakly prefer their seat to each struck-out alternative's successor
+        floors = [(b, i) for b, (g, x) in enumerate(zip(guessed, struck))
+                  for i in range(1, n) if (g & x) >> i & 1]
         seats = [every & ~x | g for x, g in zip(struck, guessed)]
         masks = []
-        for (_, a, pin, _, _, accepted), t, rank, home in zip(combo, inst.types, ranks, homes):
+        for (_, a, pin, _, _, _, accepted), t, rank, home in zip(combo, inst.types, ranks, homes):
             row = [0] * (m + 1)
             row[a] = pin
             masks.append(row)
@@ -313,9 +322,8 @@ def _guess_reducer(inst: TypedInstance):
                 continue
             rest = [acc & seat for acc, seat in zip(accepted, seats)]
             rest.append(accepted[m])
-            # residual agents seated elsewhere must weakly prefer their seat
-            # to each struck-out alternative's successor; home is never at a
-            # struck-out activity, so every floor applies to it
+            # home is never at a struck-out activity, so every floor
+            # applies to it
             for b, i in floors:
                 bar = rank[b][i + 1]
                 for c in range(m):
@@ -324,40 +332,42 @@ def _guess_reducer(inst: TypedInstance):
                 if home < bar:
                     rest[m] = 0
             masks.append(rest)
-        return masks, a_ne, consistent
+        return masks
 
-    return pools, caps, owner, reduce
+    return pools, caps, owner, root, fold, build
 
 
 def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
     """Decide whether a rank instance has a stable assignment.
 
     Enumerates minimal-alternative guesses in declaration order of the
-    types, best candidates first; the first feasible branch wins.  Each
-    guess is reduced on the compiled rank table (`_guess_reducer`) and
-    decided by the shared `solvers_sgasp._ir_kernel` with every derived
-    type attending in full; no per-guess instance is built.  The derived
-    witness is mapped back as `pull_back` does and re-verified; a failed
-    re-check is an internal bug, never a NO.  A sweep walks the product of
-    the guess pool sizes, up to |A|*n + 1 per type; a product above the
-    budget is refused up front.
+    types, best candidates first; the first feasible branch wins.  An
+    inconsistent prefix is cut, its guesses ticked in one step and counted
+    as skipped.  A consistent guess is reduced on the compiled rank table
+    (`_guess_reducer`) and decided by the shared `solvers_sgasp._ir_kernel`
+    with every derived type attending in full; no per-guess instance is
+    built.  The derived witness is mapped back as `pull_back` does and
+    re-verified; a failed re-check is an internal bug, never a NO.  A sweep
+    walks the product of the guess pool sizes, up to |A|*n + 1 per type; a
+    product above the budget is refused up front.
     """
     _require_kind(inst, "gasp")
     if not inst.types:
         return SolveResult(True, TypeCountAssignment(()), {"branches": 0, "skipped": 0})
     m = len(inst.activities)
-    pools, caps, owner, reduce = _guess_reducer(inst)
+    pools, caps, owner, root, fold, build = _guess_reducer(inst)
     meter = metered(budget, math.prod(map(len, pools)), "xp-gasp guesses")
     find = _ir_kernel(caps, meter.limit)
     everyone = (1 << len(caps)) - 1
-    skipped = 0
-    for combo in itertools.product(*pools):
-        meter.tick()
-        masks, a_ne, consistent = reduce(combo)
-        if not consistent:
-            skipped += 1
-            continue
-        picks = find(masks, a_ne, everyone)
+
+    def step(state, entry, depth):
+        state = fold(state, entry)
+        return state if state[-1] else None
+
+    walked = 0  # consistent guesses; every other one ticked is skipped
+    for combo, state in walk(pools, root, step, meter):
+        walked += 1
+        picks = find(build(combo, state), state[3], everyone)
         if picks is None:
             continue
         rows = [[0] * m for _ in inst.types]
@@ -369,5 +379,6 @@ def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
             guess = {t.id: entry[0] for t, entry in zip(inst.types, combo)}
             raise InternalSolverError(
                 f"derived solution for guess {guess} maps back unstable")
-        return SolveResult(True, witness, {"branches": meter.spent, "skipped": skipped})
-    return SolveResult(False, None, {"branches": meter.spent, "skipped": skipped})
+        return SolveResult(True, witness,
+                           {"branches": meter.spent, "skipped": meter.spent - walked})
+    return SolveResult(False, None, {"branches": meter.spent, "skipped": meter.spent - walked})

@@ -75,13 +75,6 @@ class PSSInstance:
         return max(self.targets, default=0)
 
 
-def _fold_values(d: int, values: Iterable[int]) -> int:
-    out = 0
-    for v in values:
-        out |= d >> v
-    return out
-
-
 def _fold_mask(d: int, value_mask: int) -> int:
     out = 0
     m = value_mask
@@ -97,11 +90,12 @@ def solve_pss(inst: PSSInstance) -> FrozenSet[int]:
 
     Bit v of the running mask means: v plus one element from each source
     processed so far hits a target.  Zero sources leaves the targets as is;
-    an empty source kills every bit, which is the right answer.
+    an empty source kills every bit, which is the right answer.  Values
+    above the largest target are dropped: they shift every bit out.
     """
     d = _mask(inst.targets, inst.max_value)
     for s in inst.sources:
-        d = _fold_values(d, s)
+        d = _fold_mask(d, _mask(s, inst.max_value))
     return _bits(d)
 
 
@@ -309,10 +303,8 @@ class VectorFamily:
 class MPSSResult:
     """Reachable capped sums plus witness reconstruction."""
 
-    def __init__(self, targets: FrozenSet[Tuple[int, ...]], empty_source: bool,
-                 resolver):
+    def __init__(self, targets: FrozenSet[Tuple[int, ...]], resolver):
         self.targets = targets
-        self.empty_source = empty_source
         self._resolver = resolver
 
     def witness(self, target: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
@@ -438,7 +430,7 @@ def solve_mpss(fam: VectorFamily) -> MPSSResult:
         picks = _mpss_witness(sets, prefixes, radix.position(target))
         return tuple(vecs[j] for vecs, j in zip(kept, picks))
 
-    return MPSSResult(frozenset(targets), any(not s for s in fam.sets), resolver)
+    return MPSSResult(frozenset(targets), resolver)
 
 
 def _mpss_walk(sets, i, acc, guard, target, path, found, meter) -> bool:
@@ -520,4 +512,4 @@ def brute_mpss(fam: VectorFamily, budget: Optional[int] = None,
     def resolver(t):
         return paths[tuple(t)]
 
-    return MPSSResult(frozenset(paths), any(not s for s in fam.sets), resolver)
+    return MPSSResult(frozenset(paths), resolver)

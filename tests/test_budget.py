@@ -1,8 +1,12 @@
 """Deadlines and work meters: every algorithm stops at an expired deadline
 and at an exhausted work budget, a deadline holds only in the thread that
-set it, and an inner deadline never extends an outer one.  The clock is the
-test's, not the wall's."""
+set it, an inner deadline never extends an outer one, and the product walk
+counts cut subtrees as their leaves.  The clock is the test's, not the
+wall's."""
 
+import itertools
+import math
+import random
 import threading
 
 import pytest
@@ -110,3 +114,37 @@ def test_meter_without_limit_still_checks_the_deadline(clock):
         clock[0] = 1
         with pytest.raises(DeadlineError):
             meter.tick()
+
+
+def test_walk_yields_the_uncut_leaves_in_product_order():
+    rng = random.Random(7301)
+    for _ in range(300):
+        pools = [[rng.randrange(4) for _ in range(rng.randint(0, 3))]
+                 for _ in range(rng.randint(0, 4))]
+        # a random cut per prefix; a leaf survives when no prefix of it is cut
+        cut = {p for d in range(1, len(pools) + 1)
+               for p in itertools.product(*pools[:d]) if rng.random() < 0.25}
+
+        def step(state, item, depth):
+            assert depth == len(state)
+            state += (item,)
+            return None if state in cut else state
+
+        meter = budget.WorkMeter()
+        got = []
+        for items, state in budget.walk(pools, (), step, meter):
+            assert tuple(items) == state
+            got.append((state, meter.spent))
+        want = [(leaf, i + 1) for i, leaf in enumerate(itertools.product(*pools))
+                if not any(leaf[:d] in cut for d in range(1, len(leaf) + 1))]
+        assert got == want, pools
+        assert meter.spent == math.prod(map(len, pools))
+
+
+def test_walk_cut_checks_the_deadline(clock):
+    meter = budget.WorkMeter()
+    with budget.deadline(1):
+        clock[0] = 2
+        with pytest.raises(DeadlineError, match="exceeded 1s"):
+            next(budget.walk([[0, 1], [0, 1]], None, lambda state, item, depth: None, meter))
+    assert meter.spent == 2  # the first cut ticked its two leaves at once

@@ -361,10 +361,19 @@ def test_row_masks_hold_every_stable_matrix():
                 assert not held, (inst, x)
 
 
-def _counting(monkeypatch, name):
-    """Replace the oracle kernel `name` by one whose `stable` records its calls."""
-    kernel = getattr(oracle, name)
+def _counting(monkeypatch, sgasp):
+    """Record the leaves that reach the oracle's leaf test: the verifier for
+    sgasp, whose walk window alone calls a leaf stable, and the kernel's
+    `stable` for gasp."""
     calls = []
+    if sgasp:
+        def verified(inst, x):
+            calls.append(x)
+            return verify_sgasp(inst, x)
+
+        monkeypatch.setattr(oracle, "verify_sgasp", verified)
+        return calls
+    kernel = oracle._gasp_kernel
 
     def counted(inst):
         stable, row_masks = kernel(inst)
@@ -375,7 +384,7 @@ def _counting(monkeypatch, name):
 
         return wrapped, row_masks
 
-    monkeypatch.setattr(oracle, name, counted)
+    monkeypatch.setattr(oracle, "_gasp_kernel", counted)
     return calls
 
 
@@ -388,7 +397,7 @@ NO_MEMBERS = [_seekers(3, (2, 2), 1), _seekers(3, (4, 4), 1), lift_sgasp(_seeker
 def test_cut_keeps_explored_and_skips_most_leaves(inst, monkeypatch):
     sgasp = inst.kind == "sgasp"
     run = oracle_sgasp if sgasp else oracle_gasp
-    calls = _counting(monkeypatch, "_sgasp_kernel" if sgasp else "_gasp_kernel")
+    calls = _counting(monkeypatch, sgasp)
     matrices = _count_matrices(inst)
     res = run(inst, collect_all=True)
     assert not res.exists and res.explored == matrices
@@ -401,7 +410,7 @@ def test_cut_subtree_still_checks_the_deadline(monkeypatch):
     # everyone of t1 home forbids sizes 0 and 1 at a, and t2's one agent
     # cannot lift a past 1: the first subtree is cut before any leaf ticks
     inst = sgasp_instance(["a"], [("t1", 1, {"a": {1, 2}}), ("t2", 1, {})])
-    calls = _counting(monkeypatch, "_sgasp_kernel")
+    calls = _counting(monkeypatch, True)
     now = [0.0]
     monkeypatch.setattr(budget, "_clock", lambda: now[0])
     with budget.deadline(1):

@@ -12,7 +12,7 @@ from conftest import (
     random_sgasp,
     sgasp_instance,
 )
-from gasplab import cli, formats
+from gasplab import cli, formats, solver_gasp
 from gasplab.errors import BudgetError, InvalidInstanceError
 from gasplab.model import (
     EMPTY_ACTIVITY,
@@ -231,8 +231,9 @@ def _reference_masks(inst, der):
 
 
 def test_int_reduction_and_kernel_match_reference_per_guess():
-    # every guess of the full product, with no early exit: the int
-    # reduction equals gtosg_reduce + approval_masks, and the shared kernel
+    # every guess of the full product, inconsistent ones included, with no
+    # early exit: the folded int reduction equals gtosg_reduce +
+    # approval_masks, and the shared kernel
     # equals find_ir_assignment and the set-form reference on the derived
     # instance, witness included
     rng = random.Random(9420)
@@ -243,7 +244,7 @@ def test_int_reduction_and_kernel_match_reference_per_guess():
     insts += [gasp_instance([], [("t", 2, {}), ("u", 1, {})]), NO_FIXTURE]
     seen = {"tie": 0, "count1": 0, "no_acts": 0, "struck_ok": 0, "struck_bad": 0, "found": 0}
     for inst in insts:
-        pools, caps, owner, reduce = _guess_reducer(inst)
+        pools, caps, owner, root, fold, build = _guess_reducer(inst)
         assert [[e[0] for e in pool] for pool in pools] == [
             list(_candidates(inst, t)) for t in inst.types]
         find = _ir_kernel(caps)
@@ -253,7 +254,11 @@ def test_int_reduction_and_kernel_match_reference_per_guess():
             alts = [e[0] for e in combo]
             guess = MinimalGuess({t.id: alt for t, alt in zip(inst.types, alts)})
             der = gtosg_reduce(inst, guess)
-            masks, a_ne, consistent = reduce(combo)
+            state = root
+            for entry in combo:
+                state = fold(state, entry)
+            *_, a_ne, consistent = state
+            masks = build(combo, state)
             assert (masks, a_ne) == _reference_masks(inst, der)
             assert consistent == der.consistent
             assert caps == [t.count for t in der.instance.types]
@@ -275,6 +280,45 @@ def test_int_reduction_and_kernel_match_reference_per_guess():
             rows = tuple(tuple(vec[d] for vec in picks) for d in range(len(caps)))
             assert rows == want.counts
     assert all(v > 0 for v in seen.values()), seen
+
+
+def test_cut_counts_like_the_full_guess_product(monkeypatch):
+    # branches and skipped are those of a guess-by-guess sweep with
+    # gtosg_reduce up to the first feasible guess, though inconsistent
+    # prefixes are cut whole, and the kernel runs on every consistent guess
+    calls = []
+
+    def counted(caps, limit=None):
+        find = _ir_kernel(caps, limit)
+
+        def wrapped(*args):
+            calls.append(args)
+            return find(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(solver_gasp, "_ir_kernel", counted)
+    rng = random.Random(9431)
+    cut = 0
+    for i in range(300):
+        if i % 2:
+            inst = random_gasp_windowed(rng, max_types=3, max_acts=2, max_count=2)
+        else:
+            inst = random_gasp(rng, max_types=3, max_acts=2, max_count=3)
+        calls.clear()
+        res = solve_xp_gasp(inst)
+        branches = skipped = 0
+        for combo in itertools.product(*(_candidates(inst, t) for t in inst.types)):
+            branches += 1
+            der = gtosg_reduce(inst, MinimalGuess(dict(zip(inst.type_ids(), combo))))
+            if not der.consistent:
+                skipped += 1
+            elif solve_branch(inst, der) is not None:
+                break
+        assert res.stats == {"branches": branches, "skipped": skipped}, inst
+        assert len(calls) == branches - skipped
+        cut += skipped > 0
+    assert cut >= 60, cut
 
 
 def test_reduce_type_count_bound():

@@ -121,7 +121,9 @@ def test_mpss_two_dimensional():
 
 def test_mpss_empty_set_flagged():
     res = solve_mpss(VectorFamily(1, 3, [[(1,)], []]))
-    assert res.targets == frozenset() and res.empty_source
+    assert res.targets == frozenset()
+    with pytest.raises(KeyError):
+        res.witness((1,))
 
 
 def test_mpss_witness_reconstruction():
@@ -263,7 +265,9 @@ def test_brute_mpss_edge_cases():
     # an empty set reaches nothing
     fam = VectorFamily(1, 4, [[(1,)], []])
     res = brute_mpss(fam)
-    assert res.targets == frozenset() and res.empty_source
+    assert res.targets == frozenset()
+    with pytest.raises(KeyError):
+        res.witness((1,))
     assert brute_mpss(fam, target=(1,)).targets == frozenset()
     # no sets: the zero vector, with the empty witness
     fam = VectorFamily(3, (2, 0, 5), [])
