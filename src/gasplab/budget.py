@@ -11,9 +11,10 @@ for them.  Both given forms must be an integer >= 1; anything else raises
 `InvalidSettingError`.  Each tick, and `check` inside long steps, also read
 the deadline, so a run under `deadline(seconds)` stops with
 `DeadlineError`; a `ContextVar` keeps each thread's deadline its own.
-`walk` is the one depth-first sweep of a product of pools, the typed
-oracles' count matrices and xp-gasp's guesses: a subtree it cuts ticks the
-meter once with its leaf count, so `spent` stays the product's count.
+`walk` is the one depth-first sweep of a product of pools, the oracles'
+count matrices and per-agent picks and xp-gasp's guesses: a subtree it cuts
+ticks the meter once with its leaf count, so `spent` stays the product's
+count.
 """
 
 import os
@@ -102,7 +103,10 @@ class WorkMeter:
         if self.limit is not None and self.spent > self.limit:
             raise BudgetError(
                 f"work budget exceeded: {self.spent} > {self.limit} steps")
-        check()
+        # check()'s body, inlined: this runs once per enumeration step
+        cap = _deadline.get()
+        if cap is not None and _clock() >= cap[0]:
+            raise DeadlineError(f"exceeded {cap[1]}s")
 
 
 def walk(pools, root, step, meter):

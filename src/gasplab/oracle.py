@@ -15,23 +15,24 @@ count are those of an enumerate-verify-collect loop.
 
 For the typed variants the enumeration runs over per-type attendance counts
 rather than per-agent choices, which is equivalent because agents of one
-type are interchangeable, and exponentially smaller.  The count matrices
-are walked by `budget.walk`, depth-first over the types, in the order of
-`itertools.product` over each type's rows.  Each typed kernel gives, per
-type row, a bitmask per activity of the sizes any stable matrix using that
-row can have there (exact for sgasp, a necessary relaxation for gasp).  The
-walk's step keeps the partial column sizes and the AND of the chosen rows'
+type are interchangeable, and exponentially smaller.  Connectivity breaks
+that symmetry in ggasp, so its oracle enumerates per-agent picks.  Every
+oracle walks its candidates on `budget.walk`, depth-first, in the order of
+`itertools.product`: over each type's rows, or over each agent's picks.
+Each kernel gives, per type row or agent pick, a bitmask per activity of
+the sizes any stable candidate using it can have there (exact for sgasp, a
+necessary relaxation for gasp and ggasp).  The walk's step keeps the
+partial column sizes (member bitmasks for ggasp) and the AND of the chosen
 masks, and cuts a node whose masks leave some activity no size its
 remaining agents can reach; the meter ticks once with the cut leaves.  So
 the order, the witnesses and `explored` stay those of the full product.  A
-leaf that passes this window is stable for sgasp, so only gasp's kernel
-keeps a leaf test.  A budget check up front refuses instances that would
-enumerate too much; refusing is never reported as NO.
+leaf that passes this window is stable for sgasp, so only the gasp and
+ggasp kernels keep a leaf test.  A budget check up front refuses instances
+that would enumerate too much; refusing is never reported as NO.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -221,16 +222,37 @@ def _ggasp_kernel(net: NetworkInstance):
     member bitmasks over agent positions: every group of two or more is
     connected (bitmask flood fill over adjacency masks), no agent prefers home
     over its group, and no agent strictly improves by joining another
-    activity it links into (an empty target needs no link)."""
+    activity it links into (an empty target needs no link).
+
+    `masks[i][p]` gives, per activity, sizes (bit s) that every stable
+    assignment in which agent i picks p has there, a necessary relaxation
+    read off the sizes alone: at its own activity the agent ranks its size
+    at least home, and an activity it would rank above its best such rank
+    (home: the home rank) at size 1 cannot stay empty, since joining an
+    empty activity needs no link."""
     agents = net.agent_ids()
+    n = len(agents)
     pos = {agent: i for i, agent in enumerate(agents)}
-    adj = [0] * len(agents)
+    adj = [0] * n
     for u, v in net.links:
         adj[pos[u]] |= 1 << pos[v]
         adj[pos[v]] |= 1 << pos[u]
-    by_type = {t.id: (_rank_table(t.prefs, net.base.activities, len(agents)), t.prefs.home_rank)
+
+    def pick_masks(rank, home_rank):
+        out = [[~1 if r[1] > home_rank else -1 for r in rank]]
+        for ai, r in enumerate(rank):
+            ok = [s for s in range(1, n + 1) if r[s] >= home_rank]
+            # with no size ok, row[ai] is 0 and the pick is always cut
+            best = max((r[s] for s in ok), default=home_rank)
+            row = [~1 if rb[1] > best else -1 for rb in rank]
+            row[ai] = sum(1 << s for s in ok)
+            out.append(row)
+        return out
+
+    by_type = {t.id: (_rank_table(t.prefs, net.base.activities, n), t.prefs.home_rank)
                for t in net.base.types}
     rows = [by_type[tid] for _, tid in net.agents]
+    masks = [pick_masks(rank, home_rank) for rank, home_rank in rows]
 
     def connected(m):
         seen = frontier = m & -m
@@ -256,25 +278,42 @@ def _ggasp_kernel(net: NetworkInstance):
                     return False
         return all(connected(m) for m in members if m & (m - 1))
 
-    return stable
+    return stable, masks
 
 
 def oracle_ggasp(net: NetworkInstance, budget=None, collect_all=False) -> OracleResult:
     """Per-agent enumeration; connectivity breaks type symmetry, so the
-    type-count shortcut is not available here."""
+    type-count shortcut is not available here.  The picks are walked by
+    `budget.walk` agent by agent, in the order of `itertools.product` over
+    each agent's picks.  The step keeps the member bitmasks and the AND of
+    the picks' size masks, and cuts a node whose masks leave some activity
+    no size in [members, members + agents left]; the meter ticks once with
+    the cut leaves, so the order, the witnesses and `explored` stay those of
+    the full product.  Connectivity and linked deviations are tested at the
+    leaves."""
     agents = net.agent_ids()
     choices = [EMPTY_ACTIVITY] + list(net.base.activities)
     meter = metered(budget, len(choices) ** len(agents), "ggasp oracle assignments",
                     DEFAULT_ORACLE_BUDGET)
-    stable = _ggasp_kernel(net)
+    stable, masks = _ggasp_kernel(net)
     a = len(net.base.activities)
+    n = len(agents)
+    # per depth, the bits members..members + agents left of a final size
+    windows = [(2 << (n - 1 - d)) - 1 for d in range(n)]
+
+    def step(state, p, d):
+        members, held = state
+        if p:
+            members = members.copy()
+            members[p - 1] |= 1 << d
+        held = [h & x for h, x in zip(held, masks[d][p])]
+        window = windows[d]
+        if all((h >> m.bit_count()) & window for h, m in zip(held, members)):
+            return members, held
+        return None
+
     survivors = []
-    for picks in itertools.product(range(a + 1), repeat=len(agents)):
-        meter.tick()
-        members = [0] * a
-        for i, p in enumerate(picks):
-            if p:
-                members[p - 1] |= 1 << i
+    for picks, (members, _) in walk([range(a + 1)] * n, ([0] * a, [-1] * a), step, meter):
         if not stable(picks, members):
             continue
         pi = AgentAssignment({agent: choices[p] for agent, p in zip(agents, picks)})

@@ -294,6 +294,14 @@ def _guess_reducer(inst: TypedInstance):
             caps.append(t.count - 1)
             owner.append(ti)
     root = ([0] * m, [0] * m, [0] * m, 0, True)
+    at_least = {}  # (type, bar): per activity the sizes 1..n ranked >= bar
+
+    def floor_masks(ti, bar):
+        got = at_least.get((ti, bar))
+        if got is None:
+            got = at_least[ti, bar] = [sum(1 << j for j in range(1, n + 1) if row[j] >= bar)
+                                       for row in ranks[ti]]
+        return got
 
     def fold(state, entry):
         struck, guessed, threat, a_ne, _ = state
@@ -310,11 +318,17 @@ def _guess_reducer(inst: TypedInstance):
         struck, guessed = state[0], state[1]
         # struck guesses stay seats; residual agents seated elsewhere must
         # weakly prefer their seat to each struck-out alternative's successor
-        floors = [(b, i) for b, (g, x) in enumerate(zip(guessed, struck))
-                  for i in range(1, n) if (g & x) >> i & 1]
+        floors = []
+        for b, (g, x) in enumerate(zip(guessed, struck)):
+            both = g & x  # struck sizes are 1..n-1
+            while both:
+                low = both & -both
+                both ^= low
+                floors.append((b, low.bit_length() - 1))
         seats = [every & ~x | g for x, g in zip(struck, guessed)]
         masks = []
-        for (_, a, pin, _, _, _, accepted), t, rank, home in zip(combo, inst.types, ranks, homes):
+        for ti, ((_, a, pin, _, _, _, accepted), t, rank, home) in enumerate(
+                zip(combo, inst.types, ranks, homes)):
             row = [0] * (m + 1)
             row[a] = pin
             masks.append(row)
@@ -326,9 +340,10 @@ def _guess_reducer(inst: TypedInstance):
             # applies to it
             for b, i in floors:
                 bar = rank[b][i + 1]
+                floor = floor_masks(ti, bar)
                 for c in range(m):
                     if c != b:
-                        rest[c] &= sum(1 << j for j in range(1, n + 1) if rank[c][j] >= bar)
+                        rest[c] &= floor[c]
                 if home < bar:
                     rest[m] = 0
             masks.append(rest)

@@ -217,20 +217,27 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
 
     The caps stay fixed within a solve, so the closure memoizes the vector
     set per (mask column, must-use flag) and each vector's (position, geq
-    mask); nothing outlives the closure.  A table of more than the resolved
+    mask), and computes the full-attendance masks of the q filter once;
+    nothing outlives the closure.  A table of more than the resolved
     budget's ∏(caps+1) positions is refused before anything is built.  Each
     set holds at most that many vectors, but m of them could hold m times
     as many, so the sets one fold takes spend the same budget as they are
-    gathered: each adds its vector count, memo hits included.
+    gathered: each adds its vector count, memo hits included.  The set memo
+    is emptied whenever the vectors it holds would pass that budget, so it
+    stays under it across folds.
     """
     k = len(caps)
     caps = tuple(caps)
     limit = metered(budget, math.prod(c + 1 for c in caps), "subset-sum table positions").limit
     radix = _MixedRadix(caps) if k else None
+    # per type, the table positions where it attends in full
+    fulls = [radix._component_geq(i, c) for i, c in enumerate(caps)]
     vec_memo: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     set_memo: Dict[Tuple[Tuple[int, ...], int], tuple] = {}
+    held_vectors = 0  # the vectors set_memo holds
 
     def vector_set(column, must):
+        nonlocal held_vectors
         key = (column, must)
         got = set_memo.get(key)
         if got is None:
@@ -253,7 +260,12 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
                 if pg is None:
                     pg = vec_memo[vec] = (radix.position(vec), radix.geq_mask(vec))
                 pairs.append(pg)
-            got = set_memo[key] = (vecs, pairs)
+            got = (vecs, pairs)
+            if held_vectors + len(vecs) > limit:
+                set_memo.clear()
+                held_vectors = 0
+            set_memo[key] = got
+            held_vectors += len(vecs)
         return got
 
     def find(masks, a_ne, q_mask):
@@ -268,8 +280,7 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
         pairs = [p for _, p in sets]
         prefixes = _mpss(pairs)
         table = prefixes[-1]
-        for i, c in enumerate(caps):
-            full = radix._component_geq(i, c)
+        for i, full in enumerate(fulls):
             table &= full if q_mask >> i & 1 else ~full
         if not table:
             return None

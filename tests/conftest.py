@@ -8,6 +8,7 @@ import random
 from gasplab.model import (
     EMPTY_ACTIVITY,
     HOME,
+    AgentAssignment,
     AgentType,
     NetworkInstance,
     RankMap,
@@ -15,6 +16,7 @@ from gasplab.model import (
     TypeCountAssignment,
     TypedInstance,
 )
+from gasplab.oracle import _ggasp_kernel
 from gasplab.solvers_sgasp import _activity_vectors
 from gasplab.subsetsum import VectorFamily, solve_mpss
 
@@ -158,7 +160,12 @@ def random_network(rng, max_acts=2, max_agents=4, complete=False):
                 if rng.random() < 0.5:
                     ranks[(a, s)] = rng.randint(-3, 3)
         types.append(AgentType(f"t{i}", count, RankMap(ranks)))
-    base = TypedInstance(tuple(acts), tuple(types))
+    return network_on(TypedInstance(tuple(acts), tuple(types)), rng, 1 if complete else 0.6)
+
+
+def network_on(base, rng, density):
+    """One agent per head of `base`, each pair linked with probability
+    `density` (1: every pair, drawing nothing from rng)."""
     agents = []
     k = 0
     for t in base.types:
@@ -168,9 +175,33 @@ def random_network(rng, max_acts=2, max_agents=4, complete=False):
     ids = [a for a, _ in agents]
     links = set()
     for u, v in itertools.combinations(ids, 2):
-        if complete or rng.random() < 0.6:
+        if density >= 1 or rng.random() < density:
             links.add((u, v))
     return NetworkInstance(base, tuple(agents), frozenset(links))
+
+
+def ggasp_product_reference(net, collect_all=False):
+    """`oracle_ggasp` as a plain loop: every per-agent pick tuple (0 home,
+    i+1 activity i) in `itertools.product` order, each one counted and
+    tested on the oracle's stability kernel.  Returns (exists, witnesses,
+    explored)."""
+    agents = net.agent_ids()
+    choices = (EMPTY_ACTIVITY,) + tuple(net.base.activities)
+    stable = _ggasp_kernel(net)[0]
+    a = len(net.base.activities)
+    explored = 0
+    survivors = []
+    for picks in itertools.product(range(a + 1), repeat=len(agents)):
+        explored += 1
+        members = [0] * a
+        for i, p in enumerate(picks):
+            if p:
+                members[p - 1] |= 1 << i
+        if stable(picks, members):
+            survivors.append(AgentAssignment({ag: choices[p] for ag, p in zip(agents, picks)}))
+            if not collect_all:
+                break
+    return bool(survivors), tuple(survivors), explored
 
 
 def ir_reference(inst, q, a_ne):

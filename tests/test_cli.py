@@ -197,13 +197,15 @@ def test_solve_xp_t_refuses_the_smpss_chain(tmp_path, capsys):
 
 
 def chasing_network():
-    # loners and followers chasing each other across five activities: no
-    # stable outcome, so brute force scans all 6^6 agent assignments
-    acts = [f"a{i}" for i in range(5)]
+    # loners and followers chasing each other across six activities: no
+    # stable outcome, so brute force sweeps all 7^7 agent assignments, about
+    # 0.3 s with the oracle's cut on a 2-core x86-64 VM, well past the
+    # timeouts below
+    acts = [f"a{i}" for i in range(6)]
     ranks1 = {(a, 1): 2 for a in acts} | {(a, 2): -1 for a in acts}
     ranks2 = {(a, 2): 2 for a in acts} | {(a, 1): -1 for a in acts}
-    base = gasp_instance(acts, [("t1", 3, ranks1), ("t2", 3, ranks2)])
-    ids = [(f"x{i}", "t1" if i < 3 else "t2") for i in range(6)]
+    base = gasp_instance(acts, [("t1", 4, ranks1), ("t2", 3, ranks2)])
+    ids = [(f"x{i}", "t1" if i < 4 else "t2") for i in range(7)]
     links = frozenset((u, v) for (u, _), (v, _) in itertools.combinations(ids, 2))
     return NetworkInstance(base, tuple(ids), links)
 

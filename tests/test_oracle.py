@@ -6,7 +6,9 @@ import pytest
 from conftest import (
     all_assignments,
     gasp_instance,
+    ggasp_product_reference,
     lift_sgasp,
+    network_on,
     random_gasp,
     random_gasp_windowed,
     random_network,
@@ -34,6 +36,7 @@ from gasplab.model import (
 from gasplab.oracle import (
     _count_matrices,
     _gasp_kernel,
+    _ggasp_kernel,
     _sgasp_kernel,
     oracle_gasp,
     oracle_ggasp,
@@ -419,3 +422,118 @@ def test_cut_subtree_still_checks_the_deadline(monkeypatch):
             oracle_sgasp(inst)
     assert calls == []
     assert oracle_sgasp(inst).explored == 3  # the cut counts its 2 leaves
+
+
+# ------------------------------------------------ the ggasp oracle's agent walk
+
+def _ggasp_nets(rng, count):
+    """Seeded nets: random ranks on complete and sparse links, random rank
+    bases and the rank lift of the singleton-seeker NO family (more seekers
+    than activities, one pair seeker) on random link densities."""
+    nets = []
+    for i in range(count):
+        kind = i % 5
+        if kind == 0:
+            nets.append(random_network(rng, max_acts=3, max_agents=4,
+                                       complete=rng.random() < 0.3))
+        elif kind < 3:
+            base = (random_gasp if kind == 1 else random_gasp_windowed)(rng)
+            nets.append(network_on(base, rng, rng.random()))
+        else:
+            acts = rng.randint(1, 2)
+            total = rng.randint(acts + 1, acts + 2)
+            c = rng.randint(1, total)
+            base = lift_sgasp(_seekers(acts, [c, total - c] if c < total else [total], 1))
+            nets.append(network_on(base, rng, rng.choice([1, rng.random()])))
+    return nets
+
+
+def _counting_ggasp(monkeypatch):
+    """Record the picks of every leaf that reaches the ggasp kernel's
+    `stable`."""
+    calls = []
+    kernel = oracle._ggasp_kernel
+
+    def counted(net):
+        stable, masks = kernel(net)
+
+        def wrapped(picks, members):
+            calls.append(tuple(picks))
+            return stable(picks, members)
+
+        return wrapped, masks
+
+    monkeypatch.setattr(oracle, "_ggasp_kernel", counted)
+    return calls
+
+
+def test_ggasp_masks_hold_every_stable_assignment():
+    """The property the ggasp cut relies on: for every assignment
+    verify_ggasp calls stable, each agent's pick masks hold the final size
+    of every activity.  And the masks do cut: an assignment with an agent
+    that is not individually rational, or with a home agent that would start
+    an empty activity (no link needed), is never held."""
+    rng = random.Random(8107)
+    nets = list(EDGE_NETWORKS) + _ggasp_nets(rng, 300)
+    for net in nets:
+        _, masks = _ggasp_kernel(net)
+        agents = net.agent_ids()
+        acts = net.base.activities
+        choices = (EMPTY_ACTIVITY,) + acts
+        for picks in itertools.product(range(len(acts) + 1), repeat=len(agents)):
+            sizes = [picks.count(ai + 1) for ai in range(len(acts))]
+            held = all((m >> s) & 1 for i, p in enumerate(picks)
+                       for m, s in zip(masks[i][p], sizes))
+            pi = AgentAssignment({ag: choices[p] for ag, p in zip(agents, picks)})
+            report = verify_ggasp(net, pi)
+            if report.stable:
+                assert held, (net, pi)
+            starts = any(v.kind == "deviation" and pi.mapping[v.subject] == EMPTY_ACTIVITY
+                         and not sizes[acts.index(v.activity)] for v in report.violations)
+            if starts or any(v.kind == "ir" for v in report.violations):
+                assert not held, (net, pi)
+
+
+def test_ggasp_walk_matches_the_product_reference():
+    rng = random.Random(8108)
+    nets = _ggasp_nets(rng, 1000)
+    no = 0
+    for net in nets:
+        for collect_all in (False, True):
+            res = oracle_ggasp(net, collect_all=collect_all)
+            assert (res.exists, res.witnesses, res.explored) == ggasp_product_reference(
+                net, collect_all), (net, collect_all)
+            no += not res.exists
+    assert no >= 0.2 * 2 * len(nets)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4])
+def test_ggasp_cut_keeps_explored_and_skips_most_leaves(c, monkeypatch):
+    # perfbench's oracle-check network members: 3^7 = 2,187 assignments
+    net = network_on(lift_sgasp(_seekers(2, (c, 6 - c), 1)), None, 1)
+    calls = _counting_ggasp(monkeypatch)
+    res = oracle_ggasp(net, collect_all=True)
+    assert not res.exists and res.explored == 3 ** 7
+    assert len(calls) <= 3 ** 7 // 4
+    with pytest.raises(BudgetError, match=f"would enumerate {3 ** 7} "):
+        oracle_ggasp(net, budget=3 ** 7 - 1)
+
+
+def test_ggasp_cut_subtree_still_checks_the_deadline(monkeypatch):
+    # n0 would start a alone, so with both home a may not stay empty, and n1
+    # ranks nothing above home: the first leaf's subtree is cut before any
+    # leaf ticks
+    net = _network(["a"], [("t1", {("a", 1): 1}), ("t2", {})],
+                   [("n0", "t1"), ("n1", "t2")], [])
+    calls = _counting_ggasp(monkeypatch)
+    now = [0.0]
+    monkeypatch.setattr(budget, "_clock", lambda: now[0])
+    with budget.deadline(1):
+        now[0] = 2
+        with pytest.raises(DeadlineError, match="exceeded 1s"):
+            oracle_ggasp(net)
+    assert calls == []
+    res = oracle_ggasp(net)
+    # two cut leaves, then n0 alone at a
+    assert calls == [(1, 0)]
+    assert res.explored == 3 and res.witnesses == (AgentAssignment({"n0": "a", "n1": EMPTY_ACTIVITY}),)

@@ -414,6 +414,30 @@ def test_ir_kernel_fold_vectors_spend_the_budget():
     assert find(masks, 0, 0b11) == find(masks, 0, 0b11) == [(2, 2), (0, 0)]
 
 
+def _cell(fn, name):
+    """The value of free variable `name` of closure `fn`."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def test_ir_kernel_memo_stays_under_the_budget():
+    # caps (2, 2), budget 20: many distinct mask columns would build far
+    # more than 20 vectors over the folds; the memo is emptied instead of
+    # growing, and the answers stay those of a kernel with a fresh memo
+    rng = random.Random(9321)
+    find = _ir_kernel([2, 2], budget=20)
+    memo = _cell(_cell(find, "vector_set"), "set_memo")
+    built = 0
+    for _ in range(200):
+        masks = [[rng.randrange(1, 32) << 1 for _ in range(2)] for _ in range(2)]
+        a_ne, q_mask = rng.randrange(4), rng.randrange(4)
+        before = set(memo)
+        got = find(masks, a_ne, q_mask)
+        built += sum(len(memo[key][0]) for key in set(memo) - before)
+        assert sum(len(vecs) for vecs, _ in memo.values()) <= 20
+        assert got == _ir_kernel([2, 2], budget=20)(masks, a_ne, q_mask)
+    assert built > 10 * 20
+
+
 # ---------------------------------------------------------------------------
 # agreement fuzz
 
