@@ -6,10 +6,10 @@ front (`metered`: Q masks, guesses, matrices, clique combinations, table
 positions) it refuses before it starts.  The limit comes from the explicit
 argument if given, then the GASPLAB_BUDGET environment variable, then the
 caller's fallback: DEFAULT_SOLVER_BUDGET for the exact solvers,
-DEFAULT_BUDGET for the subset-sum and clique checkers, the oracles' own cap
-for them.  Both given forms must be an integer >= 1; anything else raises
-`InvalidSettingError`.  Each tick, and `check` inside long steps, also read
-the deadline, so a run under `deadline(seconds)` stops with
+DEFAULT_BUDGET for the subset-sum and clique checkers, DEFAULT_ORACLE_BUDGET
+for the oracles.  Both given forms must be an integer >= 1; anything else
+raises `InvalidSettingError`.  Each tick, and `check` inside long steps,
+also read the deadline, so a run under `deadline(seconds)` stops with
 `DeadlineError`; a `ContextVar` keeps each thread's deadline its own.
 `walk` is the one depth-first sweep of a product of pools, the oracles'
 count matrices and per-agent picks and xp-gasp's guesses: a subtree it cuts
@@ -28,6 +28,7 @@ from .model import _is_int
 DEFAULT_BUDGET = 10 ** 7
 # Bell(11) = 678,570 branches decide fpt-n on 10 agents; Bell(12) is refused
 DEFAULT_SOLVER_BUDGET = 10 ** 6
+DEFAULT_ORACLE_BUDGET = 2_000_000
 
 _clock = time.monotonic
 # (end on _clock, seconds given) of the innermost deadline, None without one

@@ -15,8 +15,8 @@ from gasplab.model import (
     SizeSetPrefs,
     TypeCountAssignment,
     TypedInstance,
+    verify_ggasp,
 )
-from gasplab.oracle import _ggasp_kernel
 from gasplab.solvers_sgasp import _activity_vectors
 from gasplab.subsetsum import VectorFamily, solve_mpss
 
@@ -181,24 +181,19 @@ def network_on(base, rng, density):
 
 
 def ggasp_product_reference(net, collect_all=False):
-    """`oracle_ggasp` as a plain loop: every per-agent pick tuple (0 home,
-    i+1 activity i) in `itertools.product` order, each one counted and
-    tested on the oracle's stability kernel.  Returns (exists, witnesses,
+    """`oracle_ggasp` as a plain loop: every per-agent assignment in
+    `itertools.product` order over home then each activity, each one
+    counted and tested with `verify_ggasp`.  Returns (exists, witnesses,
     explored)."""
     agents = net.agent_ids()
     choices = (EMPTY_ACTIVITY,) + tuple(net.base.activities)
-    stable = _ggasp_kernel(net)[0]
-    a = len(net.base.activities)
     explored = 0
     survivors = []
-    for picks in itertools.product(range(a + 1), repeat=len(agents)):
+    for picks in itertools.product(choices, repeat=len(agents)):
         explored += 1
-        members = [0] * a
-        for i, p in enumerate(picks):
-            if p:
-                members[p - 1] |= 1 << i
-        if stable(picks, members):
-            survivors.append(AgentAssignment({ag: choices[p] for ag, p in zip(agents, picks)}))
+        pi = AgentAssignment(dict(zip(agents, picks)))
+        if verify_ggasp(net, pi).stable:
+            survivors.append(pi)
             if not collect_all:
                 break
     return bool(survivors), tuple(survivors), explored

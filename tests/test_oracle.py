@@ -313,10 +313,12 @@ EDGE_NETWORKS = [
 ]
 
 
-def test_kernels_match_verifiers():
-    """Each oracle's kernel keeps exactly the assignments its verifier calls
-    stable, in enumeration order (the oracle raises if a kernel survivor
-    fails the verifier, and a missed survivor shows up as a missing entry)."""
+def test_kernels_match_verifiers(monkeypatch):
+    """Each oracle keeps exactly the assignments its verifier calls stable,
+    in enumeration order, so its kernel's cut drops no stable one (a missed
+    survivor shows up as a missing entry).  The sgasp masks are exact: every
+    leaf the sgasp walk hands its verifier is stable."""
+    calls = _counting(monkeypatch, "verify_sgasp")
     rng = random.Random(8105)
     typed = list(EDGE_TYPED)
     makers = (random_sgasp, random_sgasp_laddered, random_gasp, random_gasp_windowed)
@@ -325,10 +327,13 @@ def test_kernels_match_verifiers():
         sgasp = inst.kind == "sgasp"
         oracle, verify = (oracle_sgasp, verify_sgasp) if sgasp else (oracle_gasp, verify_gasp)
         everything = list(all_assignments(inst))
+        calls.clear()
         res = oracle(inst, collect_all=True)
         assert list(res.witnesses) == [x for x in everything if verify(inst, x).stable], inst
         assert res.explored == len(everything)
-        if sgasp:  # the same instances as rank instances
+        if sgasp:
+            assert len(calls) == len(res.witnesses), inst
+            # the same instances as rank instances
             lifted = lift_sgasp(inst)
             assert (list(oracle_gasp(lifted, collect_all=True).witnesses)
                     == [x for x in everything if verify_gasp(lifted, x).stable]), inst
@@ -350,7 +355,7 @@ def test_row_masks_hold_every_stable_matrix():
     for inst in typed:
         sgasp = inst.kind == "sgasp"
         kernel, verify = (_sgasp_kernel, verify_sgasp) if sgasp else (_gasp_kernel, verify_gasp)
-        _, row_masks = kernel(inst)
+        row_masks = kernel(inst)
         for x in all_assignments(inst):
             sizes = x.column_sums()
             held = all(
@@ -364,30 +369,18 @@ def test_row_masks_hold_every_stable_matrix():
                 assert not held, (inst, x)
 
 
-def _counting(monkeypatch, sgasp):
-    """Record the leaves that reach the oracle's leaf test: the verifier for
-    sgasp, whose walk window alone calls a leaf stable, and the kernel's
-    `stable` for gasp."""
+def _counting(monkeypatch, name):
+    """Record every assignment the oracles hand their verifier `name`
+    (`verify_sgasp`, `verify_gasp` or `verify_ggasp`): the leaves the walk
+    does not cut."""
     calls = []
-    if sgasp:
-        def verified(inst, x):
-            calls.append(x)
-            return verify_sgasp(inst, x)
+    verify = getattr(oracle, name)
 
-        monkeypatch.setattr(oracle, "verify_sgasp", verified)
-        return calls
-    kernel = oracle._gasp_kernel
+    def counted(inst, x):
+        calls.append(x)
+        return verify(inst, x)
 
-    def counted(inst):
-        stable, row_masks = kernel(inst)
-
-        def wrapped(rows, sizes):
-            calls.append(sizes)
-            return stable(rows, sizes)
-
-        return wrapped, row_masks
-
-    monkeypatch.setattr(oracle, "_gasp_kernel", counted)
+    monkeypatch.setattr(oracle, name, counted)
     return calls
 
 
@@ -400,7 +393,7 @@ NO_MEMBERS = [_seekers(3, (2, 2), 1), _seekers(3, (4, 4), 1), lift_sgasp(_seeker
 def test_cut_keeps_explored_and_skips_most_leaves(inst, monkeypatch):
     sgasp = inst.kind == "sgasp"
     run = oracle_sgasp if sgasp else oracle_gasp
-    calls = _counting(monkeypatch, sgasp)
+    calls = _counting(monkeypatch, "verify_sgasp" if sgasp else "verify_gasp")
     matrices = _count_matrices(inst)
     res = run(inst, collect_all=True)
     assert not res.exists and res.explored == matrices
@@ -413,7 +406,7 @@ def test_cut_subtree_still_checks_the_deadline(monkeypatch):
     # everyone of t1 home forbids sizes 0 and 1 at a, and t2's one agent
     # cannot lift a past 1: the first subtree is cut before any leaf ticks
     inst = sgasp_instance(["a"], [("t1", 1, {"a": {1, 2}}), ("t2", 1, {})])
-    calls = _counting(monkeypatch, True)
+    calls = _counting(monkeypatch, "verify_sgasp")
     now = [0.0]
     monkeypatch.setattr(budget, "_clock", lambda: now[0])
     with budget.deadline(1):
@@ -448,25 +441,6 @@ def _ggasp_nets(rng, count):
     return nets
 
 
-def _counting_ggasp(monkeypatch):
-    """Record the picks of every leaf that reaches the ggasp kernel's
-    `stable`."""
-    calls = []
-    kernel = oracle._ggasp_kernel
-
-    def counted(net):
-        stable, masks = kernel(net)
-
-        def wrapped(picks, members):
-            calls.append(tuple(picks))
-            return stable(picks, members)
-
-        return wrapped, masks
-
-    monkeypatch.setattr(oracle, "_ggasp_kernel", counted)
-    return calls
-
-
 def test_ggasp_masks_hold_every_stable_assignment():
     """The property the ggasp cut relies on: for every assignment
     verify_ggasp calls stable, each agent's pick masks hold the final size
@@ -476,7 +450,7 @@ def test_ggasp_masks_hold_every_stable_assignment():
     rng = random.Random(8107)
     nets = list(EDGE_NETWORKS) + _ggasp_nets(rng, 300)
     for net in nets:
-        _, masks = _ggasp_kernel(net)
+        masks = _ggasp_kernel(net)
         agents = net.agent_ids()
         acts = net.base.activities
         choices = (EMPTY_ACTIVITY,) + acts
@@ -511,7 +485,7 @@ def test_ggasp_walk_matches_the_product_reference():
 def test_ggasp_cut_keeps_explored_and_skips_most_leaves(c, monkeypatch):
     # perfbench's oracle-check network members: 3^7 = 2,187 assignments
     net = network_on(lift_sgasp(_seekers(2, (c, 6 - c), 1)), None, 1)
-    calls = _counting_ggasp(monkeypatch)
+    calls = _counting(monkeypatch, "verify_ggasp")
     res = oracle_ggasp(net, collect_all=True)
     assert not res.exists and res.explored == 3 ** 7
     assert len(calls) <= 3 ** 7 // 4
@@ -525,7 +499,7 @@ def test_ggasp_cut_subtree_still_checks_the_deadline(monkeypatch):
     # leaf ticks
     net = _network(["a"], [("t1", {("a", 1): 1}), ("t2", {})],
                    [("n0", "t1"), ("n1", "t2")], [])
-    calls = _counting_ggasp(monkeypatch)
+    calls = _counting(monkeypatch, "verify_ggasp")
     now = [0.0]
     monkeypatch.setattr(budget, "_clock", lambda: now[0])
     with budget.deadline(1):
@@ -534,6 +508,7 @@ def test_ggasp_cut_subtree_still_checks_the_deadline(monkeypatch):
             oracle_ggasp(net)
     assert calls == []
     res = oracle_ggasp(net)
-    # two cut leaves, then n0 alone at a
-    assert calls == [(1, 0)]
-    assert res.explored == 3 and res.witnesses == (AgentAssignment({"n0": "a", "n1": EMPTY_ACTIVITY}),)
+    # two cut leaves, then n0 alone at a, the first leaf verified
+    alone = AgentAssignment({"n0": "a", "n1": EMPTY_ACTIVITY})
+    assert calls == [alone]
+    assert res.explored == 3 and res.witnesses == (alone,)

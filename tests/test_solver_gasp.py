@@ -12,12 +12,14 @@ from conftest import (
     random_sgasp,
     sgasp_instance,
 )
-from gasplab import cli, formats, solver_gasp
-from gasplab.errors import BudgetError, InvalidInstanceError
+from gasplab import cli, formats, solver_gasp, solvers_sgasp
+from gasplab.errors import BudgetError, InternalSolverError, InvalidInstanceError
 from gasplab.model import (
     EMPTY_ACTIVITY,
     HOME,
+    StabilityReport,
     TypeCountAssignment,
+    Violation,
     approval_masks,
     verify_gasp,
     verify_gasp_minimal,
@@ -155,6 +157,21 @@ def test_solve_two_type_fixture_no():
     assert res.stats == {"branches": 4, "skipped": 1}
     want = oracle_gasp(NO_FIXTURE)
     assert not want.exists and want.explored == 4
+
+
+@pytest.mark.parametrize("alg", ["fpt-ta", "xp-t", "fpt-n", "xp-gasp"])
+def test_solver_raises_when_its_witness_fails_reverification(alg, monkeypatch):
+    """Every solver re-verifies its YES witness and calls a failure a bug
+    rather than answering YES."""
+    inst = sgasp_instance(["a"], [("t1", 2, {"a": {2}})])
+    module, name = solvers_sgasp, "verify_sgasp"
+    if alg == "xp-gasp":
+        inst, module, name = lift_sgasp(inst), solver_gasp, "verify_gasp"
+    assert cli._run_alg(alg, inst)[0]
+    monkeypatch.setattr(module, name, lambda inst, x: StabilityReport(
+        (Violation("ir", inst.types[0].id, "a", "planted"),)))
+    with pytest.raises(InternalSolverError):
+        cli._run_alg(alg, inst)
 
 
 def test_solve_empty_instance():
