@@ -142,6 +142,11 @@ def gtosg_reduce(inst: TypedInstance, guess: MinimalGuess) -> DerivedSGasp:
     is flagged inconsistent.  And residual agents seated elsewhere must
     weakly prefer their seat to each struck-out alternative's successor,
     which the plain threshold filter does not imply.
+
+    A guess whose pins clash is flagged inconsistent too: two pins at one
+    activity with different sizes, or more pins at an activity than its
+    pinned size.  Each pin is a derived type of count one approving only
+    its size there, so no derived solution exists.
     """
     _require_kind(inst, "gasp")
     if IDLE_ACTIVITY in inst.activities:
@@ -155,14 +160,19 @@ def gtosg_reduce(inst: TypedInstance, guess: MinimalGuess) -> DerivedSGasp:
 
     survives = {a: {i for i in range(1, n + 1) if not struck(a, i)} for a in inst.activities}
     guessed: Dict[str, set] = {}
+    pinned: Dict[str, int] = {}  # per activity, the types pinned there
     for t in inst.types:
         aid, size = guess.choices[t.id]
         if aid != EMPTY_ACTIVITY:
             guessed.setdefault(aid, set()).add(size)
+            pinned[aid] = pinned.get(aid, 0) + 1
     removed = frozenset(
         (a, i) for a, sizes in guessed.items() for i in sizes if i not in survives[a])
 
-    consistent = True
+    # every pin attends in full at its one size: an activity cannot hold
+    # two pinned sizes, nor more pins than its pinned size
+    consistent = all(len(sizes) == 1 and pinned[a] <= min(sizes)
+                     for a, sizes in guessed.items())
     for (au, iu) in removed:
         for t in inst.types:
             if guess.activity(t.id) != au and t.prefs.rank((au, iu + 1)) > thr[t.id]:
@@ -257,13 +267,15 @@ def _guess_reducer(inst: TypedInstance):
     type; neither depends on the guess.
 
     fold(state, entry) adds one type's entry to a guess's state (struck,
-    guessed, threat, a_ne, consistent), root for no type: per activity the
-    struck sizes, the guessed sizes and those struck by types pinned
-    elsewhere, then the must-use activities.  A guess is consistent while
-    no guessed size is threatened, and guessed & threat only grows, so an
-    inconsistent prefix stays so.  build(combo, state) makes a guess's
-    derived approval masks (idle column last).  Masks, a_ne and the flag
-    equal what `gtosg_reduce` and `approval_masks` give for that guess.
+    guessed, threat, pins, a_ne, consistent), root for no type: per activity
+    the struck sizes, the guessed sizes, those struck by types pinned
+    elsewhere and the number of pins, then the must-use activities.  A
+    guess is consistent while no guessed size is threatened and its pins do
+    not clash (one guessed size per activity, and no more pins there than
+    that size).  Guesses, threats and pins only grow, so an inconsistent
+    prefix stays so.  build(combo, state) makes a guess's derived approval
+    masks (idle column last).  Masks, a_ne and the flag equal what
+    `gtosg_reduce` and `approval_masks` give for that guess.
     """
     n, m = inst.n, len(inst.activities)
     aidx = inst.activity_index()
@@ -293,7 +305,7 @@ def _guess_reducer(inst: TypedInstance):
         if t.count > 1:
             caps.append(t.count - 1)
             owner.append(ti)
-    root = ([0] * m, [0] * m, [0] * m, 0, True)
+    root = ([0] * m, [0] * m, [0] * m, [0] * m, 0, True)
     at_least = {}  # (type, bar): per activity the sizes 1..n ranked >= bar
 
     def floor_masks(ti, bar):
@@ -304,15 +316,19 @@ def _guess_reducer(inst: TypedInstance):
         return got
 
     def fold(state, entry):
-        struck, guessed, threat, a_ne, _ = state
+        struck, guessed, threat, pins, a_ne, consistent = state
         _, a, pin, successors, threats, alone, _ = entry
         struck = [x | y for x, y in zip(struck, successors)]
         threat = [x | y for x, y in zip(threat, threats)]
         if a < m:
             guessed = guessed.copy()
             guessed[a] |= pin
-        consistent = not any(g & x for g, x in zip(guessed, threat))
-        return struck, guessed, threat, a_ne | alone, consistent
+            pins = pins.copy()
+            pins[a] += 1
+            g = guessed[a]
+            consistent = consistent and not g & (g - 1) and pins[a] < g.bit_length()
+        consistent = consistent and not any(g & x for g, x in zip(guessed, threat))
+        return struck, guessed, threat, pins, a_ne | alone, consistent
 
     def build(combo, state):
         struck, guessed = state[0], state[1]
@@ -358,13 +374,16 @@ def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
     Enumerates minimal-alternative guesses in declaration order of the
     types, best candidates first; the first feasible branch wins.  An
     inconsistent prefix is cut, its guesses ticked in one step and counted
-    as skipped.  A consistent guess is reduced on the compiled rank table
-    (`_guess_reducer`) and decided by the shared `solvers_sgasp._ir_kernel`
-    with every derived type attending in full; no per-guess instance is
-    built.  The derived witness is mapped back as `pull_back` does and
-    re-verified; a failed re-check is an internal bug, never a NO.  A sweep
-    walks the product of the guess pool sizes, up to |A|*n + 1 per type; a
-    product above the budget is refused up front.
+    as skipped.  A guess is inconsistent when a guessed size is threatened
+    or its pins clash (two sizes at one activity, or more pins there than
+    the pinned size); no derived solution survives either.  A consistent
+    guess is reduced on the compiled rank table (`_guess_reducer`) and
+    decided by the shared `solvers_sgasp._ir_kernel` with every derived
+    type attending in full; no per-guess instance is built.  The derived
+    witness is mapped back as `pull_back` does and re-verified; a failed
+    re-check is an internal bug, never a NO.  A sweep walks the product of
+    the guess pool sizes, up to |A|*n + 1 per type; a product above the
+    budget is refused up front.
     """
     _require_kind(inst, "gasp")
     if not inst.types:
@@ -382,7 +401,7 @@ def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
     walked = 0  # consistent guesses; every other one ticked is skipped
     for combo, state in walk(pools, root, step, meter):
         walked += 1
-        picks = find(build(combo, state), state[3], everyone)
+        picks = find(build(combo, state), state[4], everyone)
         if picks is None:
             continue
         rows = [[0] * m for _ in inst.types]

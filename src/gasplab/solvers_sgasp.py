@@ -6,7 +6,9 @@ in `model.gamma_preprocess`:
 
 * solve_fpt_ta: branch over the set Q of fully-attending types and over
   acyclic bipartite type-activity patterns, then solve a tree subset sum
-  per pattern.  Fixed-parameter tractable in #types + #activities.
+  per pattern.  Fixed-parameter tractable in #types + #activities.  Each
+  Q's masks also lose the sizes its types cannot fill (`_trim_unfillable`)
+  before the pattern walk reads them.
 * solve_xp_t: branch over Q only and solve a multidimensional subset sum
   over per-activity contribution vectors (`_ir_kernel`, shared with
   `solver_gasp.solve_xp_gasp`).  XP in #types.
@@ -17,7 +19,9 @@ in `model.gamma_preprocess`:
 All three re-verify their witnesses; a failed re-check is an internal bug,
 never a NO.  Each counts its branches on one `WorkMeter` capped by
 `budget.resolve_budget(budget, DEFAULT_SOLVER_BUDGET)`; xp-t and fpt-n,
-whose branch counts are known before the sweep, refuse up front.
+whose branch counts are known before the sweep, refuse up front.  fpt-ta's
+branches are the patterns its walk visits, yielded or not, so the budget
+bounds its time even where whole Qs yield nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ class SolveResult:
 def enumerate_acyclic_patterns(t_count: int, a_count: int,
                                q: Iterable[int] = (),
                                a_ne: Iterable[int] = (),
-                               masks: Optional[Sequence[Sequence[int]]] = None):
+                               masks: Optional[Sequence[Sequence[int]]] = None,
+                               meter: Optional[WorkMeter] = None):
     """All acyclic bipartite patterns compatible with (q, a_ne), each once,
     as (type, activity) edge tuples.  Every type in q and every activity in
     a_ne gets at least one incident edge.
@@ -72,9 +77,16 @@ def enumerate_acyclic_patterns(t_count: int, a_count: int,
       through it is rejected;
     * once a type in q or an activity in a_ne is uncovered and has no edge
       left to take, the branch ends: no pattern below it covers that vertex.
+
+    `meter` ticks once for the empty pattern and once for every pattern the
+    walk extends to, before it is yielded, whether or not it covers q and
+    a_ne; so a walk that yields nothing still spends its budget and checks
+    the deadline.
     """
     if masks is None:
         masks = [[-1] * a_count for _ in range(t_count)]
+    if meter is None:
+        meter = WorkMeter()
     edges = [(t, a) for t in range(t_count) for a in range(a_count) if masks[t][a]]
     # vertices: type t is t, activity a is t_count + a.  last[v]: index of
     # the last edge at the required vertex v, -1 if it has none
@@ -88,6 +100,7 @@ def enumerate_acyclic_patterns(t_count: int, a_count: int,
     need = stranded[-1]
 
     top = len(edges) - 1
+    meter.tick()
     if not need:
         yield ()
     # one frame per pattern being extended: the next edge index to try
@@ -112,6 +125,7 @@ def enumerate_acyclic_patterns(t_count: int, a_count: int,
             stack.pop()
             continue
         frame[0] = j - 1
+        meter.tick()
         pat = pat + ((t, a),)
         covered |= 1 << t | 1 << t_count + a
         if not need & ~covered:
@@ -119,6 +133,28 @@ def enumerate_acyclic_patterns(t_count: int, a_count: int,
         labels = labels.copy()
         labels[a] = label
         stack.append([top, j + 1, pat, [ct if c == ca else c for c in comp], covered, labels])
+
+
+def _trim_unfillable(masks: List[List[int]], caps: Sequence[int]) -> None:
+    """Clear, in place, bit s of every masks[t][a] when s exceeds the sum of
+    caps[u] over the types u whose mask at a holds s.
+
+    An activity valued s has s in each neighbour's mask, and each neighbour
+    sends it at most its cap, so no valuation is lost.  The test at (a, s)
+    reads only column a's bit s, so one pass leaves nothing to trim.
+    """
+    for a in range(len(masks[0]) if masks else 0):
+        sizes = 0
+        for row in masks:
+            sizes |= row[a]
+        keep = 0
+        while sizes:
+            low = sizes & -sizes
+            sizes ^= low
+            if low.bit_length() - 1 <= sum(c for c, row in zip(caps, masks) if row[a] & low):
+                keep |= low
+        for row in masks:
+            row[a] &= keep
 
 
 def solve_fpt_ta(inst: TypedInstance, budget: Optional[int] = None) -> SolveResult:
@@ -130,13 +166,17 @@ def solve_fpt_ta(inst: TypedInstance, budget: Optional[int] = None) -> SolveResu
     Labels are bitmasks, {0} for an activity without pattern edges; the
     patterns are forests, as the TSS kernel requires.
 
-    The enumerator gets the pruned masks of each Q, so it never builds a
-    pattern with an empty activity label, which TSS would reject, and ends a
-    branch once a Q type or must-use activity can no longer be covered; see
-    `enumerate_acyclic_patterns`.  The patterns left come in the unpruned
-    order, so the first feasible one, and with it the answer and the
-    witness, are those of the full sweep.  `branches` counts the patterns
-    handed to TSS; the budget caps that count as it goes.
+    Per Q, the pruned masks are trimmed to the sizes the types could fill
+    (`_trim_unfillable`), each type capped at the top of its label: its
+    count if in Q, count - 1 otherwise.  Every valuation TSS would accept
+    survives the trim, so the feasible patterns, their order and the alpha
+    TSS returns for them are unchanged.  The enumerator gets those masks,
+    so it never builds a pattern with an empty activity label, which TSS
+    would reject, and ends a branch once a Q type or must-use activity can
+    no longer be covered; see `enumerate_acyclic_patterns`.  The first
+    feasible pattern, and with it the answer and the witness, are those of
+    the full sweep.  `branches` counts the patterns the walk visits, the
+    empty one of each Q included; the budget caps that count as it goes.
     """
     _require_kind(inst, "sgasp")
     k = len(inst.types)
@@ -146,10 +186,11 @@ def solve_fpt_ta(inst: TypedInstance, budget: Optional[int] = None) -> SolveResu
     for q_mask in range(1 << k):
         q_idx = [i for i in range(k) if q_mask >> i & 1]
         pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
+        caps = [t.count if q_mask >> i & 1 else t.count - 1 for i, t in enumerate(inst.types)]
+        _trim_unfillable(pruned, caps)
         type_labels = [1 << t.count if q_mask >> i & 1 else (1 << t.count) - 1
                        for i, t in enumerate(inst.types)]
-        for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne, pruned):
-            meter.tick()
+        for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne, pruned, meter):
             act_labels = [-1] * m  # -1: no neighbour yet
             for t, a in pat:
                 act_labels[a] &= pruned[t][a]

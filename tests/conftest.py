@@ -68,6 +68,15 @@ def all_assignments(inst):
         yield TypeCountAssignment(tuple(rows))
 
 
+def no_family(activities, seekers):
+    """The singleton-seeker NO family: one type per count in `seekers`
+    approving {1} everywhere, plus one pair seeker approving {2}
+    everywhere; NO whenever the seekers outnumber the activities."""
+    acts = [f"a{i + 1}" for i in range(activities)]
+    types = [(f"s{i + 1}", c, {a: {1} for a in acts}) for i, c in enumerate(seekers)]
+    return sgasp_instance(acts, types + [("p", 1, {a: {2} for a in acts})])
+
+
 def random_sgasp(rng, max_types=3, max_acts=2, max_count=2):
     acts = [f"a{i}" for i in range(rng.randint(1, max_acts))]
     counts = [rng.randint(1, max_count) for _ in range(rng.randint(1, max_types))]

@@ -11,12 +11,12 @@ import threading
 
 import pytest
 
-from conftest import gasp_instance, sgasp_instance
+from conftest import gasp_instance, no_family, sgasp_instance
 from gasplab import budget, cli, formats
 from gasplab.errors import BudgetError, DeadlineError, InvalidSettingError
 from gasplab.generators import SMPSSInstance, random_partitioned_clique
 from gasplab.model import NetworkInstance
-from gasplab.solvers_sgasp import solve_xp_t
+from gasplab.solvers_sgasp import solve_fpt_ta, solve_xp_t
 
 YES_SGASP = sgasp_instance(["a1"], [("t1", 2, {"a1": {1, 2}})])
 NO_GASP = gasp_instance(["a"], [("t1", 1, {("a", 1): 2, ("a", 2): -1}),
@@ -65,6 +65,21 @@ def test_every_algorithm_stops_at_a_budget_of_one(capsys, tmp_path):
         formats.save_instance(INSTANCES[kind], path)
         assert cli.main(["solve", "--alg", alg, "--in", path, "--budget", "1"]) == 3
         assert "work budget exhausted" in capsys.readouterr().err, (alg, kind)
+
+
+def test_fpt_ta_walk_checks_the_deadline(clock, capsys, tmp_path):
+    # no_family(3, [2, 2, 2]): no Q yields a pattern (see
+    # test_fpt_ta_visits_only_the_empty_patterns_of_the_no_families), so
+    # only the walk's own ticks can stop the sweep
+    inst = no_family(3, [2, 2, 2])
+    with budget.deadline(1):
+        clock[0] = 2
+        with pytest.raises(DeadlineError, match="exceeded 1s"):
+            solve_fpt_ta(inst)
+    path = str(tmp_path / "no.json")
+    formats.save_instance(inst, path)
+    assert cli.main(["solve", "--alg", "fpt-ta", "--in", path, "--budget", "2"]) == 3
+    assert "work budget exhausted" in capsys.readouterr().err
 
 
 def test_deadline_holds_only_in_its_own_thread(clock):

@@ -93,13 +93,14 @@ def test_reduce_top_guesses_realizable():
 
 
 def test_reduce_top_guesses_clashing_sizes():
-    # both tops pin activity a to different sizes; not simultaneously realizable
+    # both tops pin activity a to different sizes; not simultaneously
+    # realizable, so the clash flags the guess inconsistent
     inst = gasp_instance(
         ["a"],
         [("t1", 2, {("a", 2): 5}), ("t2", 1, {("a", 1): 7})],
     )
     der = gtosg_reduce(inst, MinimalGuess({"t1": ("a", 2), "t2": ("a", 1)}))
-    assert der.consistent
+    assert not der.consistent
     assert solve_branch(inst, der) is None
 
 
@@ -154,7 +155,7 @@ def test_solve_two_type_fixture_no():
     res = solve_xp_gasp(NO_FIXTURE)
     assert not res.exists and res.witness is None
     # every branch either skipped as inconsistent or infeasible
-    assert res.stats == {"branches": 4, "skipped": 1}
+    assert res.stats == {"branches": 4, "skipped": 2}
     want = oracle_gasp(NO_FIXTURE)
     assert not want.exists and want.explored == 4
 
@@ -336,6 +337,40 @@ def test_cut_counts_like_the_full_guess_product(monkeypatch):
         assert len(calls) == branches - skipped
         cut += skipped > 0
     assert cut >= 60, cut
+
+
+def pins_clash(guess):
+    """The clash rule on a guess: two pinned sizes at one activity, or more
+    pins there than the pinned size."""
+    sizes, pins = {}, {}
+    for a, s in guess.values():
+        if a != EMPTY_ACTIVITY:
+            sizes.setdefault(a, set()).add(s)
+            pins[a] = pins.get(a, 0) + 1
+    return any(len(got) > 1 or pins[a] > min(got) for a, got in sizes.items())
+
+
+def test_clashing_pins_have_no_derived_solution():
+    # every guess the clash rule rejects is flagged inconsistent and its
+    # derived instance, built anyway, has no solution
+    rng = random.Random(9440)
+    clashes = 0
+    for i in range(1000):
+        if i % 3 == 0:
+            inst = random_gasp(rng, max_types=3, max_acts=2, max_count=3)
+        elif i % 3 == 1:
+            inst = random_gasp_windowed(rng, max_types=3, max_acts=2, max_count=2)
+        else:
+            inst = lift_sgasp(random_sgasp(rng, max_types=3, max_acts=2, max_count=2))
+        for combo in itertools.product(*(_candidates(inst, t) for t in inst.types)):
+            guess = dict(zip(inst.type_ids(), combo))
+            if not pins_clash(guess):
+                continue
+            der = gtosg_reduce(inst, MinimalGuess(guess))
+            assert not der.consistent, guess
+            assert solve_branch(inst, der) is None, (inst, guess)
+            clashes += 1
+    assert clashes > 5000, clashes
 
 
 def test_reduce_type_count_bound():

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from conftest import ir_reference, random_sgasp, random_sgasp_laddered, sgasp_instance
+from conftest import (
+    ir_reference,
+    no_family,
+    random_sgasp,
+    random_sgasp_laddered,
+    sgasp_instance,
+)
 from gasplab import solvers_sgasp
 from gasplab.errors import BudgetError, InvalidInstanceError
 from gasplab.generators import pc_to_smpss, random_partitioned_clique, smpss_to_sgasp
@@ -26,6 +32,7 @@ from gasplab.solvers_sgasp import (
     _cover_matching,
     _ir_kernel,
     _partitions,
+    _trim_unfillable,
     enumerate_acyclic_patterns,
     find_ir_assignment,
     solve_fpt_n,
@@ -127,6 +134,19 @@ def test_pattern_sweep_stops_at_stranded_vertex():
     assert len(reads) == 16
 
 
+def tss_feasible(pats, masks, type_labels, k, m):
+    """The (pattern, alpha) pairs TSS accepts, activity labels the AND of
+    the pattern's masks, in the order given."""
+    for pat in pats:
+        labels = [-1] * m
+        for t, a in pat:
+            labels[a] &= masks[t][a]
+        alpha = _tss(type_labels + [1 if lab < 0 else lab for lab in labels],
+                     [(t, k + a) for t, a in pat])
+        if alpha is not None:
+            yield pat, alpha
+
+
 def reference_fpt_ta(inst):
     """fpt-ta without pruning: every pattern of every Q through the TSS
     kernel; the counts of the first feasible one, or None."""
@@ -137,17 +157,12 @@ def reference_fpt_ta(inst):
         pruned, a_ne = gamma_masks(masks, [i for i in range(k) if i not in q_idx])
         type_labels = [1 << t.count if i in q_idx else (1 << t.count) - 1
                        for i, t in enumerate(inst.types)]
-        for pat in enumerate_acyclic_patterns(k, m, q_idx, a_ne):
-            labels = [-1] * m
-            for t, a in pat:
-                labels[a] &= pruned[t][a]
-            alpha = _tss(type_labels + [1 if lab < 0 else lab for lab in labels],
-                         [(t, k + a) for t, a in pat])
-            if alpha is not None:
-                rows = [[0] * m for _ in range(k)]
-                for (t, a), val in zip(pat, alpha):
-                    rows[t][a] = val
-                return tuple(tuple(r) for r in rows)
+        for pat, alpha in tss_feasible(enumerate_acyclic_patterns(k, m, q_idx, a_ne),
+                                       pruned, type_labels, k, m):
+            rows = [[0] * m for _ in range(k)]
+            for (t, a), val in zip(pat, alpha):
+                rows[t][a] = val
+            return tuple(tuple(r) for r in rows)
     return None
 
 
@@ -167,9 +182,48 @@ def test_fpt_ta_pruning_keeps_answers_and_witnesses():
     assert no >= 10
 
 
+def test_trim_keeps_the_feasible_patterns_in_order():
+    # per Q, the walk on trimmed masks keeps every TSS-feasible pattern of
+    # the unmasked sweep, in its order and with its alpha
+    rng = random.Random(9305)
+    trimmed_qs = found = 0
+    for i in range(300):
+        if i % 2:
+            inst = random_sgasp_laddered(rng, max_types=4, max_acts=2)
+        else:
+            inst = random_sgasp(rng, max_types=3, max_acts=3, max_count=3)
+        k, m = len(inst.types), len(inst.activities)
+        masks = approval_masks(inst)
+        for q_mask in range(1 << k):
+            q_idx = [i for i in range(k) if q_mask >> i & 1]
+            pruned, a_ne = gamma_masks(masks, [i for i in range(k) if i not in q_idx])
+            caps = [t.count if i in q_idx else t.count - 1 for i, t in enumerate(inst.types)]
+            trimmed = [row.copy() for row in pruned]
+            _trim_unfillable(trimmed, caps)
+            trimmed_qs += trimmed != pruned
+            type_labels = [1 << c if i in q_idx else (2 << c) - 1 for i, c in enumerate(caps)]
+            want = list(tss_feasible(enumerate_acyclic_patterns(k, m, q_idx, a_ne),
+                                     pruned, type_labels, k, m))
+            got = list(tss_feasible(enumerate_acyclic_patterns(k, m, q_idx, a_ne, trimmed),
+                                    trimmed, type_labels, k, m))
+            assert got == want, (inst, q_mask)
+            found += len(want)
+    assert trimmed_qs > 1000 and found > 500, (trimmed_qs, found)
+
+
+def test_fpt_ta_visits_only_the_empty_patterns_of_the_no_families():
+    # C10's family(5) (no_family(3, [2, 2]) up to type ids) and sweep-no's
+    # no_family(3, [2, 2, 2]): the trim drops the pair seeker's size 2,
+    # which one agent cannot fill.  In Q it is then left without an edge;
+    # out of Q it stays home and strikes size 1 everywhere.  The walk
+    # visits each Q's empty pattern and nothing else.
+    for inst in (no_family(3, [2, 2]), no_family(3, [2, 2, 2])):
+        assert solve_fpt_ta(inst) == SolveResult(False, None, {"branches": 1 << len(inst.types)})
+
+
 def test_fpt_ta_pruning_pin():
-    # C10's NO family at N=50 (|T|=3, |A|=3): the pruned sweep hands at most
-    # a fifth of the unpruned patterns, summed over all Q, to TSS
+    # C10's NO family at N=50 (|T|=3, |A|=3): the pruned walk visits at most
+    # a fifth of the unpruned patterns, summed over all Q
     acts = ["a1", "a2", "a3"]
     inst = sgasp_instance(acts, [("t1", 24, {a: {1} for a in acts}),
                                  ("t1b", 25, {a: {1} for a in acts}),
