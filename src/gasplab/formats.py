@@ -237,7 +237,7 @@ def doc_to_instance(doc) -> Instance:
 def parse_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInstanceError(f"invalid JSON: {exc}") from exc
     return doc_to_instance(doc)
 
@@ -327,7 +327,7 @@ def doc_to_witness(doc, instance: Instance) -> Witness:
 def parse_witness(text: str, instance: Instance) -> Witness:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidAssignmentError(f"invalid JSON: {exc}") from exc
     return doc_to_witness(doc, instance)
 

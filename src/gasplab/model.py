@@ -13,6 +13,9 @@ Agents with identical preferences are interchangeable, so instances store
 counts.  Network instances add concrete agents and an undirected link
 graph; there assignments name individual agents because links
 distinguish them.
+
+`is_forest`, `is_acyclic` and `compress_once` share one union-find
+(`_closing_path`), which returns the cycle the first closing edge makes.
 """
 
 from __future__ import annotations
@@ -562,74 +565,63 @@ def incidence_graph(x: TypeCountAssignment) -> frozenset[tuple[int, int]]:
                      for ai, c in enumerate(row) if c > 0)
 
 
+def _closing_path(vertex_count: int, edges: Iterable[tuple[int, int]]) -> list[int] | None:
+    """Union-find over an edge list on vertices 0..vertex_count-1.  At the
+    first edge (u, v) whose ends are already connected, the path from u to v
+    in the forest built so far, which that edge closes into a cycle; None
+    when the edges form a forest."""
+    parent = list(range(vertex_count))
+    adj: list[list[int]] = [[] for _ in range(vertex_count)]
+
+    def root(w):
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            prev, queue = {v: v}, [v]
+            for w in queue:  # breadth-first over v's tree
+                for z in adj[w]:
+                    if z not in prev:
+                        prev[z] = w
+                        queue.append(z)
+            path = [u]
+            while path[-1] != v:
+                path.append(prev[path[-1]])
+            return path
+        parent[ru] = rv
+        adj[u].append(v)
+        adj[v].append(u)
+    return None
+
+
 def is_forest(vertex_count: int, edges: Iterable[tuple[int, int]]) -> bool:
     """Whether an edge list over vertices 0..vertex_count-1 has no cycle."""
-    parent = list(range(vertex_count))
-    for u, v in edges:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            return False
-        parent[u] = v
-    return True
+    return _closing_path(vertex_count, edges) is None
 
 
 def is_acyclic(edges: Iterable[tuple[int, int]]) -> bool:
     """Whether a set of (type, activity) edges forms a forest."""
-    edges = list(edges)
-    t_count = 1 + max((ti for ti, _ in edges), default=-1)
-    a_count = 1 + max((ai for _, ai in edges), default=-1)
-    return is_forest(t_count + a_count, [(ti, t_count + ai) for ti, ai in edges])
+    return _find_cycle(edges) is None
 
 
-def _find_cycle(edges: frozenset[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """One alternating cycle (t_1..t_l, a_1..a_l) in the incidence graph.
+def _find_cycle(edges: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]] | None:
+    """One alternating cycle (t_1..t_l, a_1..a_l) in the incidence graph, or
+    None: the forest path from t_1 to a_l that the first closing edge
+    (t_1, a_l) of the sorted edge list closes.
 
-    Cycle edges are (t_i, a_i) plus (t_{i+1}, a_i) with t_{l+1} = t_1, so the
-    closing edge pairs t_1 with a_l.
+    Cycle edges are (t_i, a_i) plus (t_{i+1}, a_i) with t_{l+1} = t_1.
     """
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for ti, ai in sorted(edges):
-        adj.setdefault(("t", ti), []).append(("a", ai))
-        adj.setdefault(("a", ai), []).append(("t", ti))
-    color: dict[tuple[str, int], str] = {}
-    parents: dict[tuple[str, int], tuple[str, int] | None] = {}
-
-    def dfs(u, par):
-        color[u] = "open"
-        parents[u] = par
-        for v in adj[u]:
-            if v == par:
-                continue
-            if color.get(v) == "open":
-                return u, v  # back edge to an ancestor on the current path
-            if v not in color:
-                hit = dfs(v, u)
-                if hit:
-                    return hit
-        color[u] = "done"
+    edges = sorted(edges)
+    t_count = 1 + max((ti for ti, _ in edges), default=-1)
+    vertex_count = t_count + 1 + max((ai for _, ai in edges), default=-1)
+    path = _closing_path(vertex_count, [(ti, t_count + ai) for ti, ai in edges])
+    if path is None:
         return None
-
-    for start in sorted(adj):
-        if start in color:
-            continue
-        hit = dfs(start, None)
-        if hit is None:
-            continue
-        u, v = hit
-        path = [u]
-        while path[-1] != v:
-            path.append(parents[path[-1]])
-        if path[0][0] == "a":  # rotate the loop so a type opens it
-            path = path[-1:] + path[:-1]
-        types = [node[1] for node in path[0::2]]
-        acts = [node[1] for node in path[1::2]]
-        return types, acts
-    raise NoCycleError("incidence graph is acyclic")
+    return path[0::2], [v - t_count for v in path[1::2]]
 
 
 def compress_once(x: TypeCountAssignment) -> TypeCountAssignment:
@@ -639,8 +631,10 @@ def compress_once(x: TypeCountAssignment) -> TypeCountAssignment:
     least one cycle edge drops to zero, so iterating terminates in an
     acyclic assignment.  Raises NoCycleError when already acyclic.
     """
-    edges = incidence_graph(x)
-    types, acts = _find_cycle(edges)
+    cycle = _find_cycle(incidence_graph(x))
+    if cycle is None:
+        raise NoCycleError("incidence graph is acyclic")
+    types, acts = cycle
     l = len(types)
     m = min(x.counts[types[i]][acts[i]] for i in range(l))
     rows = [list(row) for row in x.counts]

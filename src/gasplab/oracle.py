@@ -7,11 +7,12 @@ witnesses, their order and the `explored` count are those of an
 enumerate-verify-collect loop.
 
 For the typed variants the candidates are per-type attendance counts rather
-than per-agent choices, which is equivalent because agents of one type are
-interchangeable, and exponentially smaller.  Connectivity breaks that
-symmetry in ggasp, so its oracle enumerates per-agent picks.  All three run
-on one sweep (`_sweep`) over `budget.walk`, depth-first in the order of
-`itertools.product`: over each type's rows, or over each agent's picks.
+than per-agent choices (`_compositions`, stars and bars on `itertools`),
+which is equivalent because agents of one type are interchangeable, and
+exponentially smaller.  Connectivity breaks that symmetry in ggasp, so its
+oracle enumerates per-agent picks.  All three run on one sweep (`_sweep`)
+over `budget.walk`, depth-first in the order of `itertools.product`: over
+each type's rows, or over each agent's picks.
 Each kernel compiles the instance once into plain ints and gives, per type
 row or agent pick, a bitmask per activity of the sizes any stable candidate
 using it can have there (exact for sgasp, a necessary relaxation for gasp
@@ -24,7 +25,9 @@ refusing is never reported as NO.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -51,17 +54,15 @@ class OracleResult:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order: stars and bars, with the first parts - 1 prefix
+    sums as the bars, in `itertools.combinations_with_replacement` order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for bars in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, bars + (total,), (0,) + bars))
 
 
 def _count_matrices(inst: TypedInstance) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple
 
 from .budget import metered, walk
-from .errors import InternalSolverError, InvalidInstanceError
+from .errors import InvalidInstanceError
 from .model import (
     EMPTY_ACTIVITY,
     HOME,
@@ -46,7 +46,7 @@ from .model import (
     _require_kind,
     verify_gasp,
 )
-from .solvers_sgasp import SolveResult, _ir_kernel
+from .solvers_sgasp import SolveResult, _accept, _columns_to_rows, _ir_kernel
 
 # Reserved activity standing for "stays home" in derived instances.
 IDLE_ACTIVITY = "@idle"
@@ -380,15 +380,15 @@ def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
     guess is reduced on the compiled rank table (`_guess_reducer`) and
     decided by the shared `solvers_sgasp._ir_kernel` with every derived
     type attending in full; no per-guess instance is built.  The derived
-    witness is mapped back as `pull_back` does and re-verified; a failed
-    re-check is an internal bug, never a NO.  A sweep walks the product of
-    the guess pool sizes, up to |A|*n + 1 per type; a product above the
-    budget is refused up front.
+    picks are mapped back as `pull_back` does: `_columns_to_rows` adds each
+    derived type's attendance to its owner type's row and drops the idle
+    column, and `_accept` re-verifies the witness with `verify_gasp`; a
+    failed re-check is an internal bug, never a NO.  A sweep walks the
+    product of the guess pool sizes, up to |A|*n + 1 per type (one empty
+    guess for an instance without types); a product above the budget is
+    refused up front.
     """
     _require_kind(inst, "gasp")
-    if not inst.types:
-        return SolveResult(True, TypeCountAssignment(()), {"branches": 0, "skipped": 0})
-    m = len(inst.activities)
     pools, caps, owner, root, fold, build = _guess_reducer(inst)
     meter = metered(budget, math.prod(map(len, pools)), "xp-gasp guesses")
     find = _ir_kernel(caps, meter.limit)
@@ -404,15 +404,7 @@ def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
         picks = find(build(combo, state), state[4], everyone)
         if picks is None:
             continue
-        rows = [[0] * m for _ in inst.types]
-        for a in range(m):
-            for d, v in enumerate(picks[a]):
-                rows[owner[d]][a] += v
-        witness = TypeCountAssignment(tuple(tuple(r) for r in rows))
-        if not verify_gasp(inst, witness).stable:
-            guess = {t.id: entry[0] for t, entry in zip(inst.types, combo)}
-            raise InternalSolverError(
-                f"derived solution for guess {guess} maps back unstable")
-        return SolveResult(True, witness,
-                           {"branches": meter.spent, "skipped": meter.spent - walked})
+        x = _columns_to_rows(picks, owner, inst)
+        return _accept(inst, x, verify_gasp,
+                       {"branches": meter.spent, "skipped": meter.spent - walked}, "xp-gasp")
     return SolveResult(False, None, {"branches": meter.spent, "skipped": meter.spent - walked})

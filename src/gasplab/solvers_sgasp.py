@@ -14,10 +14,12 @@ in `model.gamma_preprocess`:
   `solver_gasp.solve_xp_gasp`).  XP in #types.
 * solve_fpt_n: branch over home sets and partitions of the rest into
   groups, then match groups to activities they fit, using every must-use
-  one, as a padded perfect bipartite matching.  FPT in #agents.
+  one, as a padded perfect bipartite matching (Kuhn's algorithm on an
+  explicit stack).  FPT in #agents.
 
-All three re-verify their witnesses; a failed re-check is an internal bug,
-never a NO.  Each counts its branches on one `WorkMeter` capped by
+All three, and xp-gasp, answer YES through `_accept`, which re-verifies
+the witness; a failed re-check is an internal bug, never a NO.  Each
+counts its branches on one `WorkMeter` capped by
 `budget.resolve_budget(budget, DEFAULT_SOLVER_BUDGET)`; xp-t and fpt-n,
 whose branch counts are known before the sweep, refuse up front.  fpt-ta's
 branches are the patterns its walk visits, yielded or not, so the budget
@@ -202,10 +204,7 @@ def solve_fpt_ta(inst: TypedInstance, budget: Optional[int] = None) -> SolveResu
             for (t, a), val in zip(pat, alpha):
                 rows[t][a] = val
             x = TypeCountAssignment(tuple(tuple(r) for r in rows))
-            if not verify_sgasp(inst, x).stable:
-                raise InternalSolverError(
-                    "pattern witness failed re-verification; this is a bug")
-            return SolveResult(True, x, {"branches": meter.spent})
+            return _accept(inst, x, verify_sgasp, {"branches": meter.spent}, "fpt-ta")
     return SolveResult(False, None, {"branches": meter.spent})
 
 
@@ -339,9 +338,25 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
     return find
 
 
-def _columns_to_rows(picks, k: int) -> TypeCountAssignment:
-    """One attendance vector per activity, transposed to a type-count matrix."""
-    return TypeCountAssignment(tuple(tuple(vec[i] for vec in picks) for i in range(k)))
+def _columns_to_rows(picks, owner: Sequence[int], inst: TypedInstance) -> TypeCountAssignment:
+    """The first m picks (m activities), one attendance vector per activity,
+    as inst's type-count matrix, component d counting for type owner[d]."""
+    m = len(inst.activities)
+    rows = [[0] * m for _ in inst.types]
+    for a, vec in zip(range(m), picks):
+        for d, v in enumerate(vec):
+            rows[owner[d]][a] += v
+    return TypeCountAssignment(tuple(tuple(r) for r in rows))
+
+
+def _accept(inst: TypedInstance, x: TypeCountAssignment, verify, stats: Dict[str, int],
+            solver: str) -> SolveResult:
+    """YES with witness x once `verify` calls it stable, else
+    InternalSolverError: a failed re-check is a bug, never a NO.  `verify`
+    is the caller's module-level name, so a patched or wrapped one runs."""
+    if not verify(inst, x).stable:
+        raise InternalSolverError(f"{solver} witness failed re-verification; this is a bug")
+    return SolveResult(True, x, stats)
 
 
 def find_ir_assignment(inst: TypedInstance, q: Iterable[str],
@@ -362,7 +377,7 @@ def find_ir_assignment(inst: TypedInstance, q: Iterable[str],
     find = _ir_kernel([t.count for t in inst.types])
     picks = find(approval_masks(inst), sum(1 << aindex[a] for a in a_ne),
                  sum(1 << tindex[t] for t in q))
-    return None if picks is None else _columns_to_rows(picks, len(inst.types))
+    return None if picks is None else _columns_to_rows(picks, range(len(tindex)), inst)
 
 
 def solve_xp_t(inst: TypedInstance, budget: Optional[int] = None) -> SolveResult:
@@ -384,11 +399,8 @@ def solve_xp_t(inst: TypedInstance, budget: Optional[int] = None) -> SolveResult
         picks = find(pruned, sum(1 << a for a in a_ne), q_mask)
         if picks is None:
             continue
-        x = _columns_to_rows(picks, k)
-        if not verify_sgasp(inst, x).stable:
-            raise InternalSolverError(
-                "Q-branch witness failed re-verification; this is a bug")
-        return SolveResult(True, x, {"branches": meter.spent})
+        x = _columns_to_rows(picks, range(k), inst)
+        return _accept(inst, x, verify_sgasp, {"branches": meter.spent}, "xp-t")
     return SolveResult(False, None, {"branches": meter.spent})
 
 
@@ -412,17 +424,33 @@ def _partitions(items: Sequence[int], groups: List[List[int]], i: int = 0):
     groups.pop()
 
 
-def _augment(r: int, rows: Sequence[int], owner: List[int], seen: List[int]) -> bool:
+def _augment(r: int, rows: Sequence[int], owner: List[int]) -> bool:
     """Kuhn's step: match row r to an activity in rows[r], re-routing rows
-    already matched, without revisiting an activity in the mask seen[0]."""
-    while free := rows[r] & ~seen[0]:
-        low = free & -free
-        seen[0] |= low
-        a = low.bit_length() - 1
-        if owner[a] < 0 or _augment(owner[a], rows, owner, seen):
-            owner[a] = r
-            return True
-    return False
+    already matched, each activity tried once (lowest bit first) on one
+    `seen` mask.  Depth-first on an explicit stack: path[i] is a row that
+    would take activity acts[i] from the next row on the path (the last
+    from r); a row whose activities run out hands back to its parent."""
+    seen = 0
+    path, acts = [], []
+    while True:
+        free = rows[r] & ~seen
+        if free:
+            low = free & -free
+            seen |= low
+            a = low.bit_length() - 1
+            if owner[a] < 0:
+                owner[a] = r
+                for row, act in zip(path, acts):
+                    owner[act] = row
+                return True
+            path.append(r)
+            acts.append(a)
+            r = owner[a]
+        elif path:
+            r = path.pop()
+            acts.pop()
+        else:
+            return False
 
 
 def _cover_matching(fits: Sequence[int], m: int, a_ne: int) -> Optional[List[int]]:
@@ -435,7 +463,7 @@ def _cover_matching(fits: Sequence[int], m: int, a_ne: int) -> Optional[List[int
     """
     rows = list(fits) + [((1 << m) - 1) & ~a_ne] * (m - len(fits))
     owner = [-1] * m  # owner[a]: the row matched to activity a
-    if not all(_augment(r, rows, owner, [0]) for r in range(len(rows))):
+    if not all(_augment(r, rows, owner) for r in range(len(rows))):
         return None
     return [owner.index(g) for g in range(len(fits))]
 
@@ -496,8 +524,5 @@ def solve_fpt_n(inst: TypedInstance, budget: Optional[int] = None) -> SolveResul
                 for agent in group:
                     rows[type_of[agent]][a] += 1
             x = TypeCountAssignment(tuple(tuple(r) for r in rows))
-            if not verify_sgasp(inst, x).stable:
-                raise InternalSolverError(
-                    "partition witness failed re-verification; this is a bug")
-            return SolveResult(True, x, {"branches": meter.spent})
+            return _accept(inst, x, verify_sgasp, {"branches": meter.spent}, "fpt-n")
     return SolveResult(False, None, {"branches": meter.spent})

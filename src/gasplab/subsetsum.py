@@ -433,29 +433,57 @@ def solve_mpss(fam: VectorFamily) -> MPSSResult:
     return MPSSResult(frozenset(targets), resolver)
 
 
-def _mpss_walk(sets, i, acc, guard, target, path, found, meter) -> bool:
+def _mpss_walk(sets, acc, guard, target, found, meter) -> None:
     """Depth-first walk behind `brute_mpss` on packed sums: one tick per
     node, children in set order, a child dropped when its sum sets a guard
     bit.  Leaves go into `found` (the first path per sum) when `target` is
     None; otherwise the walk records the first leaf equal to `target` and
-    returns True there."""
-    meter.tick()
-    if i == len(sets):
-        if target is None:
-            found.setdefault(acc, tuple(path))
-        elif acc == target:
-            found[acc] = tuple(path)
-            return True
-        return False
-    for vec, add in sets[i]:
-        nxt = acc + add
-        if nxt & guard:
+    stops there.
+
+    The walk keeps one iterator over each depth's set on an explicit
+    stack, so its depth is not bounded by Python's recursion limit; the
+    children of the last set are leaves and are handled in one loop."""
+    tick = meter.tick
+    tick()
+    last = len(sets) - 1
+    if last < 0:
+        if target is None or acc == target:
+            found[acc] = ()
+        return
+    path = [None] * (last + 1)
+    sums = [acc] * (last + 1)  # sums[d]: the partial sum above depth d
+    its = [iter(sets[0])] + [None] * last  # its[d]: depth d's children left
+    d = 0
+    while d >= 0:
+        base = sums[d]
+        if d == last:
+            for vec, add in its[d]:
+                s = base + add
+                if s & guard:
+                    continue
+                tick()
+                if target is None:
+                    if s not in found:
+                        path[d] = vec
+                        found[s] = tuple(path)
+                elif s == target:
+                    path[d] = vec
+                    found[s] = tuple(path)
+                    return
+            d -= 1
             continue
-        path.append(vec)
-        if _mpss_walk(sets, i + 1, nxt, guard, target, path, found, meter):
-            return True
-        path.pop()
-    return False
+        for vec, add in its[d]:
+            s = base + add
+            if not s & guard:
+                break
+        else:
+            d -= 1
+            continue
+        path[d] = vec
+        tick()
+        d += 1
+        sums[d] = s
+        its[d] = iter(sets[d])
 
 
 def brute_mpss(fam: VectorFamily, budget: Optional[int] = None,
@@ -500,7 +528,7 @@ def brute_mpss(fam: VectorFamily, budget: Optional[int] = None,
         inside = all(t <= c for t, c in zip(target, fam.caps))
         goal = bias + pack(target) if inside else -1
     found: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-    _mpss_walk(sets, 0, bias, guard, goal, [], found, meter)
+    _mpss_walk(sets, bias, guard, goal, found, meter)
     if target is not None:
         paths = {target: found[goal]} if found else {}
     else:

@@ -123,6 +123,48 @@ def test_solve_brute_smpss_unreachable_target(tmp_path, capsys):
     assert "budget" in err
 
 
+# Inputs deeper than Python's recursion limit end with a documented code.
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """`gen` files with one agent and 1,000 activities, sgasp and gasp."""
+    folder = tmp_path_factory.mktemp("wide")
+    paths = {}
+    for kind in ("sgasp", "gasp"):
+        paths[kind] = str(folder / f"{kind}.json")
+        assert cli.main(["gen", f"random-{kind}", "--types", "1", "--activities", "1000",
+                         "--agents", "1", "--seed", "1", "--out", paths[kind]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("kind, alg", [("sgasp", "brute"), ("sgasp", "fpt-n"),
+                                       ("gasp", "brute")])
+def test_solve_one_agent_on_1000_activities(wide_files, capsys, kind, alg):
+    code, out, _ = run(capsys, "solve", "--alg", alg, "--in", wide_files[kind])
+    assert code == 0
+    assert json.loads(out)["exists"] is True
+
+
+def test_solve_brute_on_1068_smpss_sets_spends_its_budget(tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    assert cli.main(["gen", "pc-smpss", "--k", "8", "--n", "10", "--m", "5", "--seed", "1",
+                     "--planted", "--out", path]) == 0
+    assert len(formats.load_instance(path).sets) == 1068
+    code, _, err = run(capsys, "solve", "--alg", "brute", "--in", path, "--budget", "200000")
+    assert code == 3
+    assert "budget" in err
+
+
+def test_solve_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    write(path, YES_SGASP)
+    deep = "[" * 100_000 + "]" * 100_000
+    path.write_text(path.read_text().rstrip()[:-1] + f', "meta": {deep}}}')
+    code, _, err = run(capsys, "solve", "--alg", "brute", "--in", str(path))
+    assert code == 2
+    assert "invalid JSON" in err
+
+
 def test_solve_budget_exit(tmp_path, capsys):
     inst = write(tmp_path / "i.json", YES_SGASP)
     code, _, err = run(capsys, "solve", "--alg", "brute", "--in", inst,

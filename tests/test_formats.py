@@ -170,6 +170,16 @@ def test_invalid_json_text():
         formats.parse_instance("{nope")
 
 
+def test_deeply_nested_json_is_invalid():
+    # json.loads raises RecursionError on nesting this deep
+    deep = "[" * 100_000 + "]" * 100_000
+    text = formats.dumps(formats.instance_to_doc(SGASP))
+    with pytest.raises(InvalidInstanceError, match="invalid JSON"):
+        formats.parse_instance(text.rstrip()[:-1] + f', "meta": {deep}}}')
+    with pytest.raises(InvalidAssignmentError, match="invalid JSON"):
+        formats.parse_witness(deep, SGASP)
+
+
 def test_reserved_activity_rejected_via_model():
     doc = formats.instance_to_doc(SGASP)
     doc["activities"] = ["a1", "@empty"]

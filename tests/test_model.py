@@ -392,3 +392,16 @@ def test_compress_terminates_within_edge_bound():
             cand = compress_once(cand)
             steps += 1
             assert steps <= t_n * a_n
+
+
+def test_compress_once_on_a_cycle_through_1200_vertices():
+    # rows[i][i] = rows[i][i + 1 mod n] = 1 is one incidence cycle through
+    # every type and activity, deeper than Python's recursion limit
+    n = 600
+    cand = TypeCountAssignment(tuple(
+        tuple(int(j in (i, (i + 1) % n)) for j in range(n)) for i in range(n)))
+    out = compress_once(cand)
+    assert [sum(r) for r in out.counts] == [sum(r) for r in cand.counts]
+    assert out.column_sums() == cand.column_sums()
+    assert incidence_graph(out) < incidence_graph(cand)
+    assert is_acyclic(incidence_graph(out))

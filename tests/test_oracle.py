@@ -34,6 +34,7 @@ from gasplab.model import (
     verify_sgasp,
 )
 from gasplab.oracle import (
+    _compositions,
     _count_matrices,
     _gasp_kernel,
     _ggasp_kernel,
@@ -512,3 +513,11 @@ def test_ggasp_cut_subtree_still_checks_the_deadline(monkeypatch):
     alone = AgentAssignment({"n0": "a", "n1": EMPTY_ACTIVITY})
     assert calls == [alone]
     assert res.explored == 3 and res.witnesses == (alone,)
+
+
+def test_compositions_in_product_order():
+    for total in range(7):
+        for parts in range(6):
+            want = [c for c in itertools.product(range(total + 1), repeat=parts)
+                    if sum(c) == total]
+            assert list(_compositions(total, parts)) == want, (total, parts)

@@ -181,6 +181,16 @@ def test_solve_empty_instance():
     assert res.exists and res.witness == TypeCountAssignment(())
 
 
+@pytest.mark.parametrize("activities", [[], ["a", "b"]])
+def test_instance_without_types_counts_one_branch(activities):
+    # the empty guess is the one leaf of the walk, as the empty Q, pattern,
+    # partition and matrix are for the other deciders
+    inst = gasp_instance(activities, [])
+    res = solve_xp_gasp(inst)
+    assert res.exists and res.witness == TypeCountAssignment(())
+    assert res.stats == {"branches": 1, "skipped": 0}
+
+
 def test_solve_type_cap():
     # each type's pool is (a, 1) and home: 2^5 guesses
     inst = gasp_instance(["a"], [(f"t{i}", 1, {("a", 1): 1}) for i in range(5)])
