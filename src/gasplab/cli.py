@@ -200,7 +200,7 @@ def _planted_witness(inst):
     rows = meta.get("witness_counts")
     if rows is None:
         raise InvalidInstanceError("instance has no planted witness (generate with --planted)")
-    return TypeCountAssignment(tuple(tuple(r) for r in rows))
+    return TypeCountAssignment(rows)
 
 
 def cmd_gen(args) -> int:

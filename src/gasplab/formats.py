@@ -307,7 +307,7 @@ def doc_to_witness(doc, instance: Instance) -> Witness:
                 if not _is_int(c) or c < 0:
                     raise InvalidAssignmentError(f"bad count {c!r} at ({tid!r}, {aid!r})")
                 rows[tix[tid]][aix[aid]] = c
-        return TypeCountAssignment(tuple(tuple(r) for r in rows))
+        return TypeCountAssignment(rows)
     mapping = doc.get("assignment")
     if not isinstance(mapping, dict):
         raise InvalidAssignmentError("witness is missing the assignment map")

@@ -438,7 +438,7 @@ def induced_type_counts(net: NetworkInstance, pi: AgentAssignment) -> TypeCountA
     for agent, aid in pi.mapping.items():
         if aid != EMPTY_ACTIVITY:
             counts[tidx[type_of[agent]]][aidx[aid]] += 1
-    return TypeCountAssignment(tuple(tuple(row) for row in counts))
+    return TypeCountAssignment(counts)
 
 
 def verify_ggasp(net: NetworkInstance, pi: AgentAssignment) -> StabilityReport:
@@ -641,4 +641,4 @@ def compress_once(x: TypeCountAssignment) -> TypeCountAssignment:
     for i in range(l):
         rows[types[i]][acts[i]] -= m
         rows[types[i]][acts[i - 1]] += m  # i=0 wraps to the closing activity
-    return TypeCountAssignment(tuple(tuple(r) for r in rows))
+    return TypeCountAssignment(rows)

@@ -7,8 +7,9 @@ witnesses, their order and the `explored` count are those of an
 enumerate-verify-collect loop.
 
 For the typed variants the candidates are per-type attendance counts rather
-than per-agent choices (`_compositions`, stars and bars on `itertools`),
-which is equivalent because agents of one type are interchangeable, and
+than per-agent choices: a type's rows are the splits of its count over the
+activities and home, in tuple order (`subsetsum._splits`).  That is
+equivalent because agents of one type are interchangeable, and
 exponentially smaller.  Connectivity breaks that symmetry in ggasp, so its
 oracle enumerates per-agent picks.  All three run on one sweep (`_sweep`)
 over `budget.walk`, depth-first in the order of `itertools.product`: over
@@ -25,9 +26,7 @@ refusing is never reported as NO.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -44,6 +43,7 @@ from .model import (
     verify_ggasp,
     verify_sgasp,
 )
+from .subsetsum import _splits
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,6 @@ class OracleResult:
     exists: bool
     witnesses: Tuple
     explored: int
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`, in
-    lexicographic order: stars and bars, with the first parts - 1 prefix
-    sums as the bars, in `itertools.combinations_with_replacement` order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for bars in itertools.combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(operator.sub, bars + (total,), (0,) + bars))
 
 
 def _count_matrices(inst: TypedInstance) -> int:
@@ -167,12 +155,12 @@ def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
                     DEFAULT_ORACLE_BUDGET)
     a = len(inst.activities)
     row_masks = kernel(inst)
-    # per type, in _compositions order: the attendance counts over the
-    # activities (the remainder staying home), their masks, and the row again
+    # per type, in tuple order: the attendance counts over the activities
+    # (the remainder staying home), their masks, and the row again
     pools = []
     for ti, t in enumerate(inst.types):
         pool = []
-        for comp in _compositions(t.count, a + 1):
+        for comp in _splits(t.count, [t.count] * (a + 1)):
             row = comp[:a]
             masks = row_masks(ti, comp[a] > 0, tuple(ai for ai in range(a) if row[ai]))
             pool.append((row, masks, row))

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple
 
-from .budget import metered, walk
+from .budget import check, metered, walk
 from .errors import InvalidInstanceError
 from .model import (
     EMPTY_ACTIVITY,
@@ -47,6 +47,7 @@ from .model import (
     verify_gasp,
 )
 from .solvers_sgasp import SolveResult, _accept, _columns_to_rows, _ir_kernel
+from .subsetsum import _bits
 
 # Reserved activity standing for "stays home" in derived instances.
 IDLE_ACTIVITY = "@idle"
@@ -230,7 +231,7 @@ def pull_back(inst: TypedInstance, derived: DerivedSGasp,
         oi = tindex[derived.origin[dt.id]]
         for ai in range(len(inst.activities)):
             rows[oi][ai] += picked.counts[di][ai]
-    return TypeCountAssignment(tuple(tuple(r) for r in rows))
+    return TypeCountAssignment(rows)
 
 
 def _candidates(inst: TypedInstance, t: AgentType):
@@ -262,6 +263,9 @@ def _guess_reducer(inst: TypedInstance):
     * accepted[a]: the sizes at a ranked at least r, with the idle column
       (all sizes, or none if home ranks below r) last.
 
+    Compiling an entry reads the type's whole rank table, so each entry
+    checks the deadline once.
+
     caps are the counts of the derived types, a pin then, for counts above
     one, a rest per source type, and owner[d] is derived type d's source
     type; neither depends on the guess.
@@ -286,6 +290,7 @@ def _guess_reducer(inst: TypedInstance):
     for t, rank, home in zip(inst.types, ranks, homes):
         pool = []
         for alt in _candidates(inst, t):
+            check()  # each entry costs O(|A| * n)
             if alt == HOME:
                 a, pin, r = m, every, home
             else:
@@ -334,13 +339,8 @@ def _guess_reducer(inst: TypedInstance):
         struck, guessed = state[0], state[1]
         # struck guesses stay seats; residual agents seated elsewhere must
         # weakly prefer their seat to each struck-out alternative's successor
-        floors = []
-        for b, (g, x) in enumerate(zip(guessed, struck)):
-            both = g & x  # struck sizes are 1..n-1
-            while both:
-                low = both & -both
-                both ^= low
-                floors.append((b, low.bit_length() - 1))
+        # (struck sizes are 1..n-1, so i + 1 is a size)
+        floors = [(b, i) for b, (g, x) in enumerate(zip(guessed, struck)) for i in _bits(g & x)]
         seats = [every & ~x | g for x, g in zip(struck, guessed)]
         masks = []
         for ti, ((_, a, pin, _, _, _, accepted), t, rank, home) in enumerate(
@@ -386,11 +386,14 @@ def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
     failed re-check is an internal bug, never a NO.  A sweep walks the
     product of the guess pool sizes, up to |A|*n + 1 per type (one empty
     guess for an instance without types); a product above the budget is
-    refused up front.
+    refused up front, from the `_candidates` pool sizes, before any pool
+    entry is compiled.  The compile, O(|A|*n) per entry, checks the
+    deadline once per entry.
     """
     _require_kind(inst, "gasp")
+    meter = metered(budget, math.prod(len(_candidates(inst, t)) for t in inst.types),
+                    "xp-gasp guesses")
     pools, caps, owner, root, fold, build = _guess_reducer(inst)
-    meter = metered(budget, math.prod(map(len, pools)), "xp-gasp guesses")
     find = _ir_kernel(caps, meter.limit)
     everyone = (1 << len(caps)) - 1
 

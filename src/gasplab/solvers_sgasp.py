@@ -10,8 +10,9 @@ in `model.gamma_preprocess`:
   Q's masks also lose the sizes its types cannot fill (`_trim_unfillable`)
   before the pattern walk reads them.
 * solve_xp_t: branch over Q only and solve a multidimensional subset sum
-  over per-activity contribution vectors (`_ir_kernel`, shared with
-  `solver_gasp.solve_xp_gasp`).  XP in #types.
+  over per-activity contribution vectors, the splits of each approved size
+  over the types approving it (`subsetsum._splits`); the kernel,
+  `_ir_kernel`, is shared with `solver_gasp.solve_xp_gasp`.  XP in #types.
 * solve_fpt_n: branch over home sets and partitions of the rest into
   groups, then match groups to activities they fit, using every must-use
   one, as a padded perfect bipartite matching (Kuhn's algorithm on an
@@ -23,7 +24,8 @@ counts its branches on one `WorkMeter` capped by
 `budget.resolve_budget(budget, DEFAULT_SOLVER_BUDGET)`; xp-t and fpt-n,
 whose branch counts are known before the sweep, refuse up front.  fpt-ta's
 branches are the patterns its walk visits, yielded or not, so the budget
-bounds its time even where whole Qs yield nothing.
+bounds its time even where whole Qs yield nothing; a budget below the
+2^|T| empty patterns every sweep visits (one per Q) is refused up front.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .model import (
     gamma_masks,
     verify_sgasp,
 )
-from .subsetsum import _MixedRadix, _mpss, _mpss_witness, _tss
+from .subsetsum import _bits, _MixedRadix, _mpss, _mpss_witness, _splits, _tss
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,9 @@ def _trim_unfillable(masks: List[List[int]], caps: Sequence[int]) -> None:
         for row in masks:
             sizes |= row[a]
         keep = 0
-        while sizes:
-            low = sizes & -sizes
-            sizes ^= low
-            if low.bit_length() - 1 <= sum(c for c, row in zip(caps, masks) if row[a] & low):
-                keep |= low
+        for s in _bits(sizes):
+            if s <= sum(c for c, row in zip(caps, masks) if row[a] >> s & 1):
+                keep |= 1 << s
         for row in masks:
             row[a] &= keep
 
@@ -178,13 +178,15 @@ def solve_fpt_ta(inst: TypedInstance, budget: Optional[int] = None) -> SolveResu
     no longer be covered; see `enumerate_acyclic_patterns`.  The first
     feasible pattern, and with it the answer and the witness, are those of
     the full sweep.  `branches` counts the patterns the walk visits, the
-    empty one of each Q included; the budget caps that count as it goes.
+    empty one of each Q included.  Since every Q visits at least that one,
+    a budget below 2^|T| is refused up front; otherwise it caps the count
+    as it goes.
     """
     _require_kind(inst, "sgasp")
     k = len(inst.types)
     m = len(inst.activities)
+    meter = metered(budget, 1 << k, "fpt-ta patterns (at least one per Q mask)")
     masks = approval_masks(inst)
-    meter = WorkMeter(resolve_budget(budget, DEFAULT_SOLVER_BUDGET))
     for q_mask in range(1 << k):
         q_idx = [i for i in range(k) if q_mask >> i & 1]
         pruned, a_ne = gamma_masks(masks, [i for i in range(k) if not q_mask >> i & 1])
@@ -203,37 +205,9 @@ def solve_fpt_ta(inst: TypedInstance, budget: Optional[int] = None) -> SolveResu
             rows = [[0] * m for _ in range(k)]
             for (t, a), val in zip(pat, alpha):
                 rows[t][a] = val
-            x = TypeCountAssignment(tuple(tuple(r) for r in rows))
+            x = TypeCountAssignment(rows)
             return _accept(inst, x, verify_sgasp, {"branches": meter.spent}, "fpt-ta")
     return SolveResult(False, None, {"branches": meter.spent})
-
-
-def _activity_vectors(total: int, allowed: Sequence[int], caps: Sequence[int],
-                      k: int) -> List[Tuple[int, ...]]:
-    """All k-vectors with the given total, support inside `allowed`, and
-    component i at most caps[i], in lexicographic order of their values at
-    `allowed`."""
-    out: List[Tuple[int, ...]] = []
-    # rest[pos]: the most the positions after pos can still take
-    rest = [sum(caps[j] for j in allowed[pos + 1:]) for pos in range(len(allowed))]
-    _fill_splits(0, total, allowed, caps, rest, [0] * k, out)
-    return out
-
-
-def _fill_splits(pos: int, left: int, allowed: Sequence[int], caps: Sequence[int],
-                 rest: Sequence[int], vec: List[int], out: List[Tuple[int, ...]]) -> None:
-    """`_activity_vectors`' step: every split of `left` over allowed[pos:],
-    appended to `out` as copies of `vec`."""
-    if pos == len(allowed):
-        check()
-        if left == 0:
-            out.append(tuple(vec))
-        return
-    i = allowed[pos]
-    for v in range(max(0, left - rest[pos]), min(left, caps[i]) + 1):
-        vec[i] = v
-        _fill_splits(pos + 1, left - v, allowed, caps, rest, vec, out)
-    vec[i] = 0
 
 
 def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
@@ -245,10 +219,12 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
     a_ne is nonempty.
 
     One vector set per activity: for each size p someone approves, every
-    split of p agents over the types approving p; the zero vector stands
-    for leaving the activity empty and is withheld from a_ne members.  Sets
-    are sorted and deduplicated as `VectorFamily` does, and folded by the
-    MPSS kernel on one mixed-radix table over the caps (counts per type).
+    split of p agents over the types approving p (`subsetsum._splits`, the
+    other types capped at 0), with one deadline check per vector; the zero
+    vector stands for leaving the activity empty and is withheld from a_ne
+    members.  Sets are sorted and deduplicated as `VectorFamily` does, and
+    folded by the MPSS kernel on one mixed-radix table over the caps
+    (counts per type).
     The capped vector sums reachable with one pick per activity are exactly
     the per-type attendance totals.  The final table is filtered to the
     sums whose full/not-full pattern is q before anything is decoded; the
@@ -285,12 +261,10 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
             sizes = 0
             for mk in column:
                 sizes |= mk
-            while sizes:
-                low = sizes & -sizes
-                sizes ^= low
-                p = low.bit_length() - 1
-                allowed = [i for i, mk in enumerate(column) if mk >> p & 1]
-                vecs.extend(_activity_vectors(p, allowed, caps, k))
+            for p in _bits(sizes):
+                for vec in _splits(p, [c if mk >> p & 1 else 0 for c, mk in zip(caps, column)]):
+                    check()
+                    vecs.append(vec)
             if not must:
                 vecs.append((0,) * k)
             vecs = sorted(set(vecs))
@@ -346,7 +320,7 @@ def _columns_to_rows(picks, owner: Sequence[int], inst: TypedInstance) -> TypeCo
     for a, vec in zip(range(m), picks):
         for d, v in enumerate(vec):
             rows[owner[d]][a] += v
-    return TypeCountAssignment(tuple(tuple(r) for r in rows))
+    return TypeCountAssignment(rows)
 
 
 def _accept(inst: TypedInstance, x: TypeCountAssignment, verify, stats: Dict[str, int],
@@ -432,6 +406,7 @@ def _augment(r: int, rows: Sequence[int], owner: List[int]) -> bool:
     from r); a row whose activities run out hands back to its parent."""
     seen = 0
     path, acts = [], []
+    # `seen` grows as the walk goes, so the free bits are read afresh each step
     while True:
         free = rows[r] & ~seen
         if free:
@@ -523,6 +498,6 @@ def solve_fpt_n(inst: TypedInstance, budget: Optional[int] = None) -> SolveResul
             for group, a in zip(parts, match):
                 for agent in group:
                     rows[type_of[agent]][a] += 1
-            x = TypeCountAssignment(tuple(tuple(r) for r in rows))
+            x = TypeCountAssignment(rows)
             return _accept(inst, x, verify_sgasp, {"branches": meter.spent}, "fpt-n")
     return SolveResult(False, None, {"branches": meter.spent})

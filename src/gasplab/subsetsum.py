@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .budget import WorkMeter, check, resolve_budget
 from .errors import InvalidInstanceError
@@ -37,13 +37,47 @@ def _mask(values: Iterable[int], top: int) -> int:
     return m
 
 
-def _bits(mask: int) -> FrozenSet[int]:
-    out = set()
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, ascending."""
     while mask:
         low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _splits(total: int, caps: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Every tuple whose entries sum to `total`, entry i at most caps[i], in
+    tuple order; a position capped at 0 stays 0.
+
+    The smallest tuple fills from the right.  Each next one raises the last
+    position that can take one more from the positions after it, and those
+    refill from the right.  No recursion, so any number of positions works.
+    """
+    n = len(caps)
+    vec = [0] * n
+    i, left = -1, total  # refill the positions after i with left
+    while True:
+        r = i  # the last nonzero position (-1: none)
+        for j in range(n - 1, i, -1):
+            if not left:
+                break
+            v = vec[j] = min(caps[j], left)
+            left -= v
+            if v and r == i:
+                r = j
+        if left:
+            return  # the caps hold less than total
+        yield tuple(vec)
+        # positions after r are 0: raise the last position before r that is
+        # below its cap, and refill all after it with one unit less
+        i = r - 1
+        while i >= 0 and vec[i] == caps[i]:
+            i -= 1
+        if i < 0:
+            return
+        vec[i] += 1
+        left = sum(vec[i + 1:r + 1]) - 1
+        vec[i + 1:r + 1] = [0] * (r - i)
 
 
 def _check_nonneg(values, what):
@@ -78,6 +112,7 @@ class PSSInstance:
 def _fold_mask(d: int, value_mask: int) -> int:
     out = 0
     m = value_mask
+    # the TSS/PSS inner fold: inline rather than `_bits`, to skip a generator
     while m:
         low = m & -m
         out |= d >> (low.bit_length() - 1)
@@ -96,7 +131,7 @@ def solve_pss(inst: PSSInstance) -> FrozenSet[int]:
     d = _mask(inst.targets, inst.max_value)
     for s in inst.sources:
         d = _fold_mask(d, _mask(s, inst.max_value))
-    return _bits(d)
+    return frozenset(_bits(d))
 
 
 def brute_pss(inst: PSSInstance, budget: Optional[int] = None) -> FrozenSet[int]:
@@ -211,16 +246,12 @@ def _tss(masks: Sequence[int], edges: Sequence[Tuple[int, int]]) -> Optional[Tup
         cs = children[v]
         for i, c in enumerate(cs):
             rest = [rmasks[w] for w in cs[i + 1:]]
-            m = rmasks[c]
-            while m:
-                low = m & -m
-                val = low.bit_length() - 1
+            for val in _bits(rmasks[c]):
                 after = t >> val
                 for rm in rest:
                     after = _fold_mask(after, rm)
                 if after & 1:
                     break
-                m &= m - 1
             else:
                 raise AssertionError("witness extraction lost feasibility")
             values[(min(v, c), max(v, c))] = val
@@ -419,18 +450,13 @@ def solve_mpss(fam: VectorFamily) -> MPSSResult:
     kept = _kept(fam)
     sets = [[(radix.position(vec), radix.geq_mask(vec)) for vec in vecs] for vecs in kept]
     prefixes = _mpss(sets)
-    targets = set()
-    m = prefixes[-1]
-    while m:
-        low = m & -m
-        targets.add(radix.vector(low.bit_length() - 1))
-        m &= m - 1
+    targets = frozenset(radix.vector(p) for p in _bits(prefixes[-1]))
 
     def resolver(target):
         picks = _mpss_witness(sets, prefixes, radix.position(target))
         return tuple(vecs[j] for vecs, j in zip(kept, picks))
 
-    return MPSSResult(frozenset(targets), resolver)
+    return MPSSResult(targets, resolver)
 
 
 def _mpss_walk(sets, acc, guard, target, found, meter) -> None:

@@ -17,7 +17,6 @@ from gasplab.model import (
     TypedInstance,
     verify_ggasp,
 )
-from gasplab.solvers_sgasp import _activity_vectors
 from gasplab.subsetsum import VectorFamily, solve_mpss
 
 
@@ -222,8 +221,9 @@ def ir_reference(inst, q, a_ne):
         vecs = []
         sizes = set().union(*(t.prefs.sizes(a) for t in inst.types))
         for p in sorted(sizes):
-            allowed = [i for i, t in enumerate(inst.types) if t.prefs.approves(a, p)]
-            vecs.extend(_activity_vectors(p, allowed, caps, k))
+            # every split of p over the types approving it, by its own filter
+            box = [range(t.count + 1) if t.prefs.approves(a, p) else [0] for t in inst.types]
+            vecs.extend(v for v in itertools.product(*box) if sum(v) == p)
         if a not in a_ne:
             vecs.append((0,) * k)
         sets.append(vecs)

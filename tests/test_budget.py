@@ -80,6 +80,13 @@ def test_fpt_ta_walk_checks_the_deadline(clock, capsys, tmp_path):
     formats.save_instance(inst, path)
     assert cli.main(["solve", "--alg", "fpt-ta", "--in", path, "--budget", "2"]) == 3
     assert "work budget exhausted" in capsys.readouterr().err
+    # 2^|T| = 4 empty patterns fit the budget of 4, so the refusal up front
+    # passes; the NO sweep visits 9 patterns and the walk's ticks stop it
+    inst = sgasp_instance(["a"], [("t0", 1, {"a": {1, 3}}), ("t1", 2, {"a": {1, 2}})])
+    assert solve_fpt_ta(inst).stats == {"branches": 9}
+    formats.save_instance(inst, path)
+    assert cli.main(["solve", "--alg", "fpt-ta", "--in", path, "--budget", "4"]) == 3
+    assert "work budget exceeded: 5 > 4 steps" in capsys.readouterr().err
 
 
 def test_deadline_holds_only_in_its_own_thread(clock):

@@ -34,7 +34,6 @@ from gasplab.model import (
     verify_sgasp,
 )
 from gasplab.oracle import (
-    _compositions,
     _count_matrices,
     _gasp_kernel,
     _ggasp_kernel,
@@ -45,7 +44,7 @@ from gasplab.oracle import (
 )
 from gasplab.solver_gasp import solve_xp_gasp
 from gasplab.solvers_sgasp import solve_fpt_n, solve_fpt_ta, solve_xp_t
-from gasplab.subsetsum import PSSInstance, brute_pss
+from gasplab.subsetsum import PSSInstance, _splits, brute_pss
 
 
 def x(*rows):
@@ -520,4 +519,4 @@ def test_compositions_in_product_order():
         for parts in range(6):
             want = [c for c in itertools.product(range(total + 1), repeat=parts)
                     if sum(c) == total]
-            assert list(_compositions(total, parts)) == want, (total, parts)
+            assert list(_splits(total, [total] * parts)) == want, (total, parts)

@@ -12,8 +12,8 @@ from conftest import (
     random_sgasp,
     sgasp_instance,
 )
-from gasplab import cli, formats, solver_gasp, solvers_sgasp
-from gasplab.errors import BudgetError, InternalSolverError, InvalidInstanceError
+from gasplab import budget, cli, formats, solver_gasp, solvers_sgasp
+from gasplab.errors import BudgetError, DeadlineError, InternalSolverError, InvalidInstanceError
 from gasplab.model import (
     EMPTY_ACTIVITY,
     HOME,
@@ -198,6 +198,29 @@ def test_solve_type_cap():
         solve_xp_gasp(inst, budget=31)
     res = solve_xp_gasp(inst, budget=32)
     assert res.exists and verify_gasp(inst, res.witness).stable
+
+
+def test_solve_refuses_the_guess_product_before_compiling(monkeypatch):
+    # the 2^5 guesses are counted from the pool sizes; no entry is compiled
+    inst = gasp_instance(["a"], [(f"t{i}", 1, {("a", 1): 1}) for i in range(5)])
+
+    def no_compile(*args):
+        raise AssertionError("a rank table was compiled")
+
+    monkeypatch.setattr(solver_gasp, "_rank_table", no_compile)
+    with pytest.raises(BudgetError, match="32 xp-gasp guesses, cap is 31"):
+        solve_xp_gasp(inst, budget=31)
+
+
+def test_compile_stops_at_an_expired_deadline(monkeypatch):
+    inst = gasp_instance(["a"], [("t", 2, {("a", 1): 1, ("a", 2): 2})])
+    now = [0.0]
+    monkeypatch.setattr(budget, "_clock", lambda: now[0])
+    with budget.deadline(1):
+        _guess_reducer(inst)  # in time
+        now[0] = 2
+        with pytest.raises(DeadlineError, match="exceeded 1s"):
+            _guess_reducer(inst)
 
 
 def test_solve_requires_rank_instance():

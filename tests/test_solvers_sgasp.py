@@ -28,7 +28,6 @@ from gasplab.model import (
 from gasplab.oracle import oracle_sgasp
 from gasplab.solvers_sgasp import (
     SolveResult,
-    _activity_vectors,
     _cover_matching,
     _ir_kernel,
     _partitions,
@@ -39,7 +38,7 @@ from gasplab.solvers_sgasp import (
     solve_fpt_ta,
     solve_xp_t,
 )
-from gasplab.subsetsum import _tss
+from gasplab.subsetsum import _splits, _tss
 
 
 def x(*rows):
@@ -332,6 +331,19 @@ def test_fpt_n_agent_cap():
     assert solve_fpt_n(inst, budget=4_213_597).exists
 
 
+def test_fpt_ta_refuses_fewer_steps_than_q_masks_up_front(monkeypatch):
+    # every Q visits at least its empty pattern: 2^4 = 16 steps at least,
+    # refused before any Q's masks are pruned
+    inst = no_family(3, [2, 2, 2])
+
+    def no_pruning(*args):
+        raise AssertionError("a Q was set up")
+
+    monkeypatch.setattr(solvers_sgasp, "gamma_masks", no_pruning)
+    with pytest.raises(BudgetError, match="would enumerate 16 fpt-ta patterns .*, cap is 15"):
+        solve_fpt_ta(inst, budget=15)
+
+
 def test_xp_t_refuses_the_smpss_chain_table_up_front(monkeypatch):
     # smpss_to_sgasp(pc_to_smpss(pc)) has 12 types and 3,924 agents; its
     # subset-sum table would need prod(count + 1) ~ 7.3e22 positions
@@ -342,7 +354,7 @@ def test_xp_t_refuses_the_smpss_chain_table_up_front(monkeypatch):
     size = math.prod(c + 1 for c in counts)
     assert size > 10 ** 22
     # refused before a single vector set or mask is built
-    monkeypatch.setattr(solvers_sgasp, "_activity_vectors", None)
+    monkeypatch.setattr(solvers_sgasp, "_splits", None)
     monkeypatch.setattr(solvers_sgasp, "_MixedRadix", None)
     with pytest.raises(BudgetError, match=f"would enumerate {size} subset-sum table"):
         solve_xp_t(inst)
@@ -393,7 +405,8 @@ def test_cover_matching_matches_brute_force():
 
 
 def test_activity_vectors_lexicographic_and_acyclic():
-    # the reference: every capped vector, zero off `allowed`, in tuple order
+    # the kernel's vectors: `_splits` with the types off `allowed` capped at
+    # 0; the reference: every capped vector, zero off `allowed`, in tuple order
     rng = random.Random(9331)
     gc.collect()
     gc.disable()
@@ -405,7 +418,8 @@ def test_activity_vectors_lexicographic_and_acyclic():
             total = rng.randint(0, 8)
             box = [range(c + 1) if i in allowed else [0] for i, c in enumerate(caps)]
             want = [v for v in itertools.product(*box) if sum(v) == total]
-            assert _activity_vectors(total, allowed, caps, k) == want
+            got = _splits(total, [c if i in allowed else 0 for i, c in enumerate(caps)])
+            assert list(got) == want
         # no self-recursive closure left behind for the collector
         assert gc.collect() == 0
     finally:
