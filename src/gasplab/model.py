@@ -21,6 +21,7 @@ distinguish them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Mapping, Union
 
 from .errors import InvalidAssignmentError, InvalidInstanceError, NoCycleError
@@ -541,9 +542,24 @@ def approval_masks(inst: TypedInstance) -> list[list[int]]:
             for t in inst.types]
 
 
-def _rank_table(rm: RankMap, activities, n: int) -> list[list[int]]:
-    """rank[a][s] for sizes 0..n+1 (size 0 and n+1 are never ranked)."""
-    return [[rm.rank((aid, s)) for s in range(n + 2)] for aid in activities]
+def _rank_levels(rm: RankMap, activities) -> dict[int, tuple[list[int], list[int]]]:
+    """Per rank r at least home that a listed alternative has, best first:
+    (above, at), per activity the sizes ranked above r and those ranked at
+    least r, as bitmasks (bit s: size s), from one sweep down the sorted
+    alternatives.  Unlisted ones rank below home, so no level needs the
+    agent count.  A level's `above` is the previous level's `at`."""
+    aidx = {aid: i for i, aid in enumerate(activities)}
+    listed = sorted((r, alt) for alt, r in rm.ranks.items() if r >= rm.home_rank)
+    levels = {}
+    above = [0] * len(activities)
+    for r, group in groupby(reversed(listed), key=lambda p: p[0]):
+        at = above.copy()
+        for _, (aid, s) in group:
+            if aid != EMPTY_ACTIVITY:
+                at[aidx[aid]] |= 1 << s
+        levels[r] = (above, at)
+        above = at
+    return levels
 
 
 def gamma_masks(masks: list[list[int]], home: Iterable[int]) -> tuple[list[list[int]], list[int]]:

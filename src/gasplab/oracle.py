@@ -14,14 +14,16 @@ exponentially smaller.  Connectivity breaks that symmetry in ggasp, so its
 oracle enumerates per-agent picks.  All three run on one sweep (`_sweep`)
 over `budget.walk`, depth-first in the order of `itertools.product`: over
 each type's rows, or over each agent's picks.
-Each kernel compiles the instance once into plain ints and gives, per type
-row or agent pick, a bitmask per activity of the sizes any stable candidate
-using it can have there (exact for sgasp, a necessary relaxation for gasp
-and ggasp).  The sweep keeps the partial column sizes and the AND of the
-chosen masks, and cuts a node whose masks leave some activity no size its
-remaining agents can reach; the meter ticks once with the cut leaves.  A
-budget check up front refuses instances that would enumerate too much;
-refusing is never reported as NO.
+Each kernel compiles the instance once into plain ints: per type, home
+masks and per-activity attend masks, a bitmask per activity of the sizes
+any stable candidate with someone of that type home, or at that activity,
+can have there (exact for sgasp, a necessary relaxation read off the rank
+levels of `model._rank_levels` for gasp and ggasp).  A type row or agent
+pick takes the AND of the masks it uses (`_held`).  The sweep keeps the
+partial column sizes and the AND of the chosen masks, and cuts a node
+whose masks leave some activity no size its remaining agents can reach;
+the meter ticks once with the cut leaves.  A budget check up front refuses
+instances that would enumerate too much; refusing is never reported as NO.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .model import (
     NetworkInstance,
     TypeCountAssignment,
     TypedInstance,
-    _rank_table,
+    _rank_levels,
     approval_masks,
     verify_gasp,
     verify_ggasp,
@@ -92,78 +94,65 @@ def _sweep(inst, verify, build, pools, placed, a, meter, collect_all):
 
 
 def _sgasp_kernel(inst: TypedInstance):
-    """`row_masks(ti, home, attended)`: per activity, the sizes (bit s) at
-    which a row of type ti keeps sgasp stability on approval bitmasks: every
-    attended activity approves its size, and with an agent at home no
-    activity approves its size plus one.  The two tests read one size each,
-    so a matrix is stable exactly when every row's masks hold the final
-    sizes."""
-    masks = approval_masks(inst)
-
-    def row_masks(ti, home, attended):
-        mrow = masks[ti]
-        out = [~(m >> 1) for m in mrow] if home else [-1] * len(mrow)
-        for ai in attended:
-            out[ai] &= mrow[ai]
-        return out
-
-    return row_masks
+    """Per type, (home, attend): per activity, the sizes (bit s) at which a
+    row of that type keeps sgasp stability on approval bitmasks.  With an
+    agent at home no activity approves its size plus one (home), and an
+    attended activity ai approves its size (attend[ai], no bound elsewhere).
+    The two tests read one size each, so a matrix is stable exactly when
+    every row's masks (`_held`) hold the final sizes."""
+    out = []
+    for mrow in approval_masks(inst):
+        attend = [[m if bi == ai else -1 for bi in range(len(mrow))]
+                  for ai, m in enumerate(mrow)]
+        out.append(([~(m >> 1) for m in mrow], attend))
+    return out
 
 
 def _gasp_kernel(inst: TypedInstance):
-    """`row_masks(ti, home, attended)`: per activity, sizes (bit s) that
-    every stable matrix using a row of type ti has there, read off int rank
-    tables; a necessary relaxation.  With someone home, no activity may rank
-    above home at its size plus one; an attended activity must rank at least
-    home at its size, and no other activity may rank, at its size plus one,
-    above the best such rank."""
-    n = inst.n
-
-    def grown_at_most(r, cap):
-        """Sizes s in 0..n with r[s + 1] <= cap, as a bitmask."""
-        return sum(1 << s for s in range(n + 1) if r[s + 1] <= cap)
-
-    def type_masks(rank, home_rank):
-        """The masks of someone home, and per activity ai those of attending
-        it (at ai its sizes ranked at least home, elsewhere the sizes that
-        do not grow above the best of them)."""
-        at_home = [grown_at_most(r, home_rank) for r in rank]
+    """Per type, (home, attend): per activity, sizes (bit s) that every
+    stable matrix using a row of that type has there, read off its rank
+    levels (`model._rank_levels`); a necessary relaxation.  With someone
+    home (home), no activity may rank above home at its size plus one.  An
+    attended activity ai (attend[ai]) must rank at least home at its size,
+    and no other activity may rank, at its size plus one, above the best
+    such rank; with no such size the row is always cut."""
+    out = []
+    for t in inst.types:
+        levels = _rank_levels(t.prefs, inst.activities)
+        above, ok = levels[t.prefs.home_rank]
         attend = []
-        for ai, r in enumerate(rank):
-            ok = [s for s in range(n + 1) if r[s] >= home_rank]
-            best = max((r[s] for s in ok), default=None)
-            attend.append([sum(1 << s for s in ok) if bi == ai
-                           else -1 if best is None else grown_at_most(rb, best)
-                           for bi, rb in enumerate(rank)])
-        return at_home, attend
+        for ai, sizes in enumerate(ok):
+            best = next((r for r, (_, at) in levels.items() if at[ai]), None)
+            row = [-1] * len(ok) if best is None else [~(x >> 1) for x in levels[best][0]]
+            row[ai] = sizes
+            attend.append(row)
+        out.append(([~(x >> 1) for x in above], attend))
+    return out
 
-    parts = [type_masks(_rank_table(t.prefs, inst.activities, n), t.prefs.home_rank)
-             for t in inst.types]
 
-    def row_masks(ti, home, attended):
-        at_home, attend = parts[ti]
-        out = at_home if home else [-1] * len(at_home)
-        for ai in attended:
-            out = [m & x for m, x in zip(out, attend[ai])]
-        return out
-
-    return row_masks
+def _held(masks, home, attended):
+    """The AND of one type's kernel masks (home, attend) for a row or pick:
+    home's when someone of it stays home, and attend[ai] for each attended
+    activity ai."""
+    at_home, attend = masks
+    out = at_home if home else [-1] * len(at_home)
+    for ai in attended:
+        out = [x & y for x, y in zip(out, attend[ai])]
+    return out
 
 
 def _typed_oracle(inst, kernel, verify, variant, budget, collect_all):
     meter = metered(budget, _count_matrices(inst), f"{variant} oracle matrices",
                     DEFAULT_ORACLE_BUDGET)
     a = len(inst.activities)
-    row_masks = kernel(inst)
     # per type, in tuple order: the attendance counts over the activities
     # (the remainder staying home), their masks, and the row again
     pools = []
-    for ti, t in enumerate(inst.types):
+    for t, masks in zip(inst.types, kernel(inst)):
         pool = []
         for comp in _splits(t.count, [t.count] * (a + 1)):
             row = comp[:a]
-            masks = row_masks(ti, comp[a] > 0, tuple(ai for ai in range(a) if row[ai]))
-            pool.append((row, masks, row))
+            pool.append((row, _held(masks, comp[a] > 0, [ai for ai in range(a) if row[ai]]), row))
         pools.append(pool)
     return _sweep(inst, verify, TypeCountAssignment, pools, [t.count for t in inst.types],
                   a, meter, collect_all)
@@ -178,28 +167,26 @@ def oracle_gasp(inst: TypedInstance, budget=None, collect_all=False) -> OracleRe
 
 
 def _ggasp_kernel(net: NetworkInstance):
-    """`masks[i][p]`: per activity, sizes (bit s) that every stable
-    assignment in which agent i picks p (0 home, i+1 activity i) has there,
-    a necessary relaxation read off the sizes alone.  At its own activity
-    the agent ranks its size at least home, and an activity it would rank
-    above its best such rank (home: the home rank) at size 1 cannot stay
-    empty, since joining an empty activity needs no link."""
-    n = len(net.agents)
-
-    def pick_masks(rank, home_rank):
-        out = [[~1 if r[1] > home_rank else -1 for r in rank]]
-        for ai, r in enumerate(rank):
-            ok = [s for s in range(1, n + 1) if r[s] >= home_rank]
+    """Per type, (home, attend): per activity, sizes (bit s) that every
+    stable assignment in which an agent of that type stays home (home) or
+    attends activity ai (attend[ai]) has there, a necessary relaxation read
+    off the sizes alone.  At its own activity the agent ranks its size at
+    least home, and an activity it would rank above its best such rank
+    (home: the home rank) at size 1 cannot stay empty, since joining an
+    empty activity needs no link."""
+    out = []
+    for t in net.base.types:
+        levels = _rank_levels(t.prefs, net.base.activities)
+        above, ok = levels[t.prefs.home_rank]
+        attend = []
+        for ai, sizes in enumerate(ok):
             # with no size ok, row[ai] is 0 and the pick is always cut
-            best = max((r[s] for s in ok), default=home_rank)
-            row = [~1 if rb[1] > best else -1 for rb in rank]
-            row[ai] = sum(1 << s for s in ok)
-            out.append(row)
-        return out
-
-    by_type = {t.id: pick_masks(_rank_table(t.prefs, net.base.activities, n), t.prefs.home_rank)
-               for t in net.base.types}
-    return [by_type[tid] for _, tid in net.agents]
+            best = next((r for r, (_, at) in levels.items() if at[ai]), t.prefs.home_rank)
+            row = [~1 if x & 2 else -1 for x in levels[best][0]]
+            row[ai] = sizes
+            attend.append(row)
+        out.append(([~1 if x & 2 else -1 for x in above], attend))
+    return out
 
 
 def oracle_ggasp(net: NetworkInstance, budget=None, collect_all=False) -> OracleResult:
@@ -213,6 +200,9 @@ def oracle_ggasp(net: NetworkInstance, budget=None, collect_all=False) -> Oracle
                     DEFAULT_ORACLE_BUDGET)
     a = len(net.base.activities)
     deltas = [tuple(int(ai == p - 1) for ai in range(a)) for p in range(a + 1)]
-    pools = [list(zip(deltas, masks, choices)) for masks in _ggasp_kernel(net)]
+    by_type = [[_held(masks, True, ())] + [_held(masks, False, (ai,)) for ai in range(a)]
+               for masks in _ggasp_kernel(net)]
+    tindex = net.base.type_index()
+    pools = [list(zip(deltas, by_type[tindex[tid]], choices)) for _, tid in net.agents]
     return _sweep(net, verify_ggasp, lambda picks: AgentAssignment(dict(zip(agents, picks))),
                   pools, [1] * len(agents), a, meter, collect_all)

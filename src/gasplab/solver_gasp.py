@@ -15,15 +15,15 @@ notes in `gtosg_reduce`); without it a feasible derived instance can map
 back to an assignment some residual agent deserts.
 
 `solve_xp_gasp` does not build derived instances.  It compiles the instance
-once into an int rank table rank[t][a][s] for s in 0..n+1 and per-guess
-bitmasks (`_guess_reducer`), applies `gtosg_reduce`'s rules to them, and
-hands the derived approval masks to `solvers_sgasp._ir_kernel`, the kernel
-`xp-t` uses too.  The guesses are walked as a prefix tree on `budget.walk`,
-folded one type at a time, and a prefix already inconsistent is cut with
-all its guesses.  The idle column is the index past the real activities, so
-a real activity may be named like IDLE_ACTIVITY.  `gtosg_reduce`,
-`pull_back`, `MinimalGuess` and `DerivedSGasp` stay as the reference entry
-points the tests compare the int reduction against.
+once into per-guess bitmasks read off each type's rank levels
+(`model._rank_levels`, in `_guess_reducer`), applies `gtosg_reduce`'s rules
+to them, and hands the derived approval masks to `solvers_sgasp._ir_kernel`,
+the kernel `xp-t` uses too.  The guesses are walked as a prefix tree on
+`budget.walk`, folded one type at a time, and a prefix already inconsistent
+is cut with all its guesses.  The idle column is the index past the real
+activities, so a real activity may be named like IDLE_ACTIVITY.
+`gtosg_reduce`, `pull_back`, `MinimalGuess` and `DerivedSGasp` stay as the
+reference entry points the tests compare the int reduction against.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .model import (
     TypeCountAssignment,
     TypedInstance,
     _is_int,
-    _rank_table,
+    _rank_levels,
     _require_kind,
     verify_gasp,
 )
@@ -250,10 +250,10 @@ def _guess_reducer(inst: TypedInstance):
 
     Returns (pools, caps, owner, root, fold, build).  pools[t] is type t's
     guess pool in `_candidates` order; each entry is (alternative, activity
-    index (m, the idle column, for home), pin label, successors, threats,
-    alone, accepted).  The pin label is the guessed size, or every size for
-    home.  The rest are bitmasks over sizes (bit s: size s) or activities,
-    taken against the entry's rank r:
+    index (m, the idle column, for home), pin label, rank r, successors,
+    threats, alone, accepted).  The pin label is the guessed size, or every
+    size for home.  The rest are bitmasks over sizes (bit s: size s) or
+    activities, read off the level of r in the type's `model._rank_levels`:
 
     * successors[a]: sizes i < n at a whose successor i+1 the type ranks
       above r, the sizes it strikes;
@@ -263,8 +263,8 @@ def _guess_reducer(inst: TypedInstance):
     * accepted[a]: the sizes at a ranked at least r, with the idle column
       (all sizes, or none if home ranks below r) last.
 
-    Compiling an entry reads the type's whole rank table, so each entry
-    checks the deadline once.
+    Each type's levels take one sort of its listed alternatives; an entry
+    then costs O(|A|), and checks the deadline once.
 
     caps are the counts of the derived types, a pin then, for counts above
     one, a rest per source type, and owner[d] is derived type d's source
@@ -278,30 +278,31 @@ def _guess_reducer(inst: TypedInstance):
     not clash (one guessed size per activity, and no more pins there than
     that size).  Guesses, threats and pins only grow, so an inconsistent
     prefix stays so.  build(combo, state) makes a guess's derived approval
-    masks (idle column last).  Masks, a_ne and the flag equal what
-    `gtosg_reduce` and `approval_masks` give for that guess.
+    masks (idle column last); a struck guess's floor is the level of its
+    successor's rank.  Masks, a_ne and the flag equal what `gtosg_reduce`
+    and `approval_masks` give for that guess.
     """
     n, m = inst.n, len(inst.activities)
     aidx = inst.activity_index()
     every = (1 << n + 1) - 2  # sizes 1..n, the idle column's label
-    ranks = [_rank_table(t.prefs, inst.activities, n) for t in inst.types]
-    homes = [t.prefs.home_rank for t in inst.types]
+    levels = [_rank_levels(t.prefs, inst.activities) for t in inst.types]
     pools = []
-    for t, rank, home in zip(inst.types, ranks, homes):
+    for t, level in zip(inst.types, levels):
+        home = t.prefs.home_rank
         pool = []
         for alt in _candidates(inst, t):
-            check()  # each entry costs O(|A| * n)
+            check()  # each entry costs O(|A|)
             if alt == HOME:
                 a, pin, r = m, every, home
             else:
-                a, pin = aidx[alt[0]], 1 << alt[1]
-                r = rank[a][alt[1]]
-            successors = [sum(1 << i for i in range(1, n) if row[i + 1] > r) for row in rank]
+                a, pin, r = aidx[alt[0]], 1 << alt[1], t.prefs.rank(alt)
+            above, at = level[r]
+            # listed sizes are at most n, so i + 1 <= n; size 1 strikes no i
+            successors = [x >> 1 & ~1 for x in above]
             threats = [0 if b == a else x for b, x in enumerate(successors)]
-            alone = sum(1 << b for b, row in enumerate(rank) if row[1] > r)
-            accepted = [sum(1 << i for i in range(1, n + 1) if row[i] >= r) for row in rank]
-            accepted.append(every if home >= r else 0)
-            pool.append((alt, a, pin, successors, threats, alone, accepted))
+            alone = sum(1 << b for b, x in enumerate(above) if x & 2)
+            accepted = at + [every if home >= r else 0]
+            pool.append((alt, a, pin, r, successors, threats, alone, accepted))
         pools.append(pool)
     caps, owner = [], []
     for ti, t in enumerate(inst.types):
@@ -311,18 +312,10 @@ def _guess_reducer(inst: TypedInstance):
             caps.append(t.count - 1)
             owner.append(ti)
     root = ([0] * m, [0] * m, [0] * m, [0] * m, 0, True)
-    at_least = {}  # (type, bar): per activity the sizes 1..n ranked >= bar
-
-    def floor_masks(ti, bar):
-        got = at_least.get((ti, bar))
-        if got is None:
-            got = at_least[ti, bar] = [sum(1 << j for j in range(1, n + 1) if row[j] >= bar)
-                                       for row in ranks[ti]]
-        return got
 
     def fold(state, entry):
         struck, guessed, threat, pins, a_ne, consistent = state
-        _, a, pin, successors, threats, alone, _ = entry
+        _, a, pin, _, successors, threats, alone, _ = entry
         struck = [x | y for x, y in zip(struck, successors)]
         threat = [x | y for x, y in zip(threat, threats)]
         if a < m:
@@ -343,8 +336,7 @@ def _guess_reducer(inst: TypedInstance):
         floors = [(b, i) for b, (g, x) in enumerate(zip(guessed, struck)) for i in _bits(g & x)]
         seats = [every & ~x | g for x, g in zip(struck, guessed)]
         masks = []
-        for ti, ((_, a, pin, _, _, _, accepted), t, rank, home) in enumerate(
-                zip(combo, inst.types, ranks, homes)):
+        for (_, a, pin, r, _, _, _, accepted), t, level in zip(combo, inst.types, levels):
             row = [0] * (m + 1)
             row[a] = pin
             masks.append(row)
@@ -352,15 +344,17 @@ def _guess_reducer(inst: TypedInstance):
                 continue
             rest = [acc & seat for acc, seat in zip(accepted, seats)]
             rest.append(accepted[m])
-            # home is never at a struck-out activity, so every floor
-            # applies to it
             for b, i in floors:
-                bar = rank[b][i + 1]
-                floor = floor_masks(ti, bar)
-                for c in range(m):
-                    if c != b:
-                        rest[c] &= floor[c]
-                if home < bar:
+                # a floor ranked at most r changes nothing: rest and the idle
+                # column already hold only what ranks at least r.  Above r it
+                # is a level; home is never at a struck-out activity, so the
+                # floor clears the idle column
+                bar = t.prefs.rank((inst.activities[b], i + 1))
+                if bar > r:
+                    floor = level[bar][1]
+                    for c in range(m):
+                        if c != b:
+                            rest[c] &= floor[c]
                     rest[m] = 0
             masks.append(rest)
         return masks
@@ -377,7 +371,7 @@ def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
     as skipped.  A guess is inconsistent when a guessed size is threatened
     or its pins clash (two sizes at one activity, or more pins there than
     the pinned size); no derived solution survives either.  A consistent
-    guess is reduced on the compiled rank table (`_guess_reducer`) and
+    guess is reduced on the compiled masks (`_guess_reducer`) and
     decided by the shared `solvers_sgasp._ir_kernel` with every derived
     type attending in full; no per-guess instance is built.  The derived
     picks are mapped back as `pull_back` does: `_columns_to_rows` adds each
@@ -387,8 +381,8 @@ def solve_xp_gasp(inst: TypedInstance, budget=None) -> SolveResult:
     product of the guess pool sizes, up to |A|*n + 1 per type (one empty
     guess for an instance without types); a product above the budget is
     refused up front, from the `_candidates` pool sizes, before any pool
-    entry is compiled.  The compile, O(|A|*n) per entry, checks the
-    deadline once per entry.
+    entry is compiled.  The compile, one sort per type and O(|A|) per
+    entry, checks the deadline once per entry.
     """
     _require_kind(inst, "gasp")
     meter = metered(budget, math.prod(len(_candidates(inst, t)) for t in inst.types),

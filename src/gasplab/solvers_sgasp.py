@@ -228,8 +228,9 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
     The capped vector sums reachable with one pick per activity are exactly
     the per-type attendance totals.  The final table is filtered to the
     sums whose full/not-full pattern is q before anything is decoded; the
-    smallest such target in tuple order is taken and its witness rebuilt
-    with `subsetsum._mpss_witness`, which is `solve_mpss`'s rule.
+    smallest such target in tuple order, the table's lowest set bit, is
+    taken and its witness rebuilt with `subsetsum._mpss_witness`, which is
+    `solve_mpss`'s rule.
 
     The caps stay fixed within a solve, so the closure memoizes the vector
     set per (mask column, must-use flag) and each vector's (position, geq
@@ -298,15 +299,7 @@ def _ir_kernel(caps: Sequence[int], budget: Optional[int] = None):
             table &= full if q_mask >> i & 1 else ~full
         if not table:
             return None
-        if table & (table - 1):
-            # several targets: the smallest in tuple order, digit by digit
-            for i, c in enumerate(caps):
-                for v in range(c):
-                    low = table & ~radix._component_geq(i, v + 1)
-                    if low:
-                        table = low
-                        break
-        picks = _mpss_witness(pairs, prefixes, table.bit_length() - 1)
+        picks = _mpss_witness(pairs, prefixes, (table & -table).bit_length() - 1)
         return [vecs[j] for (vecs, _), j in zip(sets, picks)]
 
     return find

@@ -350,15 +350,17 @@ class MPSSResult:
 
 
 class _MixedRadix:
-    """Positions of [0,caps]^k vectors inside one big-int bitmask."""
+    """Positions of [0,caps]^k vectors inside one big-int bitmask.
+    Component 0 is the most significant digit, so positions ascend in tuple
+    order and the smallest vector of a table is its lowest set bit."""
 
     def __init__(self, caps: Tuple[int, ...]):
         self.caps = caps
-        self.strides = []
+        self.strides = [0] * len(caps)
         total = 1
-        for c in caps:
-            self.strides.append(total)
-            total *= c + 1
+        for i in reversed(range(len(caps))):
+            self.strides[i] = total
+            total *= caps[i] + 1
         self.total = total
         self._geq: Dict[Tuple[int, int], int] = {}
 
@@ -366,11 +368,7 @@ class _MixedRadix:
         return sum(v * s for v, s in zip(vec, self.strides))
 
     def vector(self, pos) -> Tuple[int, ...]:
-        out = []
-        for c in self.caps:
-            out.append(pos % (c + 1))
-            pos //= c + 1
-        return tuple(out)
+        return tuple(pos // s % (c + 1) for c, s in zip(self.caps, self.strides))
 
     def _component_geq(self, i: int, v: int) -> int:
         # bitmask of all positions whose i-th digit is >= v

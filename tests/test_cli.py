@@ -378,6 +378,13 @@ def test_gen_sidon_length_must_be_positive_int(capsys, value):
     assert "Traceback" not in out.err and out.out == ""
 
 
+def test_gen_sidon_out_writes_the_file(tmp_path, capsys):
+    path = tmp_path / "sidon.json"
+    code, out, _ = run(capsys, "gen", "sidon", "--length", "5", "--out", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text()) == [1, 2, 4, 8, 13]
+
+
 def test_gen_random_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["gen", "random-sgasp", "--types", "2", "--activities", "2",
@@ -454,6 +461,35 @@ def test_gen_source_argument_errors(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "pc-smpss", "--k", "2", "--n", "2", "--m", "1",
                        "--out", str(tmp_path / "x.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("generator, wrong, match", [
+    ("pc-gasp", YES_SGASP, "is not a pclique instance"),
+    ("smpss-sgasp", random_partitioned_clique(3, 2, 1, seed=3), "is not an smpss instance"),
+])
+def test_gen_in_needs_the_source_kind(tmp_path, capsys, generator, wrong, match):
+    src = write(tmp_path / "src.json", wrong)
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "gen", generator, "--in", src, "--out", str(out))
+    assert code == 2 and match in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("instance_text, witness_text, match", [
+    ("[]", None, "document is not an object"),
+    (None, '{"format": "gasplab-witness", "version": 1, "kind": "sgasp"}',
+     "missing the counts"),
+])
+def test_malformed_documents_exit_2(tmp_path, capsys, instance_text, witness_text, match):
+    inst = tmp_path / "i.json"
+    wit = tmp_path / "w.json"
+    write(inst, YES_SGASP)
+    if instance_text is not None:
+        inst.write_text(instance_text)
+    wit.write_text(witness_text or "{}")
+    code, out, err = run(capsys, "verify", "--in", str(inst), "--assignment", str(wit))
+    assert code == 2 and match in err and out == ""
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------------ bench

@@ -256,3 +256,50 @@ def test_no_witness_format_for_smpss():
     with pytest.raises(InvalidAssignmentError, match="no witness format"):
         formats.witness_to_doc(SMPSSInstance((1,), (((1,),),)),
                                TypeCountAssignment(((1,),)))
+
+
+NET = NetworkInstance(gasp_instance(["a1"], [("t1", 2, {("a1", 2): 3})]),
+                      (("x1", "t1"), ("x2", "t1")), frozenset({("x1", "x2")}))
+
+
+def _witness(kind, **fields):
+    return {"format": "gasplab-witness", "version": 1, "kind": kind, **fields}
+
+
+@pytest.mark.parametrize("doc, inst, match", [
+    ([], SGASP, "not an object"),
+    (_witness("sgasp", counts={}) | {"format": "gasplab-instance"}, SGASP, "not a witness"),
+    (_witness("sgasp", counts={}) | {"version": 2}, SGASP, "unsupported version"),
+    (_witness("sgasp"), SGASP, "missing the counts"),
+    (_witness("sgasp", counts={"t1": [1, 0]}), SGASP, "not an object"),
+    (_witness("ggasp"), NET, "missing the assignment"),
+    (_witness("ggasp", assignment={"x1": "a1", "x2": "zz"}), NET, "unknown activity"),
+    (_witness("ggasp", assignment={"x1": "a1", "x2": 1}), NET, "unknown activity"),
+])
+def test_doc_to_witness_rejects(doc, inst, match):
+    with pytest.raises(InvalidAssignmentError, match=match):
+        formats.doc_to_witness(doc, inst)
+
+
+@pytest.mark.parametrize("mangle, match", [
+    (lambda d: ["not", "a", "document"], "document is not an object"),
+    (lambda d: d | {"types": [5]}, "type record is not an object"),
+    (lambda d: d | {"agents": ["x1", "x2"]}, "agent record is not an object"),
+])
+def test_doc_to_instance_rejects_non_objects(mangle, match):
+    with pytest.raises(InvalidInstanceError, match=match):
+        formats.doc_to_instance(mangle(formats.instance_to_doc(NET)))
+
+
+@pytest.mark.parametrize("value, want", [
+    ({1: "x"}, InvalidInstanceError),
+    ({"x": {"y": object()}}, InvalidInstanceError),
+    ({"x": 1.5 + 2j}, InvalidInstanceError),
+    ({"s": frozenset({3, 1}), "t": {(1, 2), (0, 5)}}, {"s": [1, 3], "t": [[0, 5], [1, 2]]}),
+])
+def test_jsonable(value, want):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            formats.jsonable(value)
+    else:
+        assert formats.jsonable(value) == want

@@ -344,6 +344,16 @@ def test_kernels_match_verifiers(monkeypatch):
         assert list(res.witnesses) == _stable_picks(net), net
 
 
+def _and_masks(masks, home, attended):
+    """A row's or pick's masks from a kernel's per-type (home, attend):
+    home's if someone stays home, ANDed with attend[ai] per attended ai."""
+    at_home, attend = masks
+    out = at_home if home else [-1] * len(at_home)
+    for ai in attended:
+        out = [x & y for x, y in zip(out, attend[ai])]
+    return out
+
+
 def test_row_masks_hold_every_stable_matrix():
     """The property the oracles' cut relies on: for every matrix its verifier
     calls stable, each type's row masks hold the final column sizes.  For
@@ -355,14 +365,14 @@ def test_row_masks_hold_every_stable_matrix():
     for inst in typed:
         sgasp = inst.kind == "sgasp"
         kernel, verify = (_sgasp_kernel, verify_sgasp) if sgasp else (_gasp_kernel, verify_gasp)
-        row_masks = kernel(inst)
+        masks = kernel(inst)
         for x in all_assignments(inst):
             sizes = x.column_sums()
             held = all(
                 (m >> s) & 1
                 for ti, (t, row) in enumerate(zip(inst.types, x.counts))
-                for m, s in zip(row_masks(ti, sum(row) < t.count,
-                                          tuple(ai for ai, c in enumerate(row) if c)), sizes))
+                for m, s in zip(_and_masks(masks[ti], sum(row) < t.count,
+                                           [ai for ai, c in enumerate(row) if c]), sizes))
             if verify(inst, x).stable:
                 assert held, (inst, x)
             elif sgasp:
@@ -450,14 +460,16 @@ def test_ggasp_masks_hold_every_stable_assignment():
     rng = random.Random(8107)
     nets = list(EDGE_NETWORKS) + _ggasp_nets(rng, 300)
     for net in nets:
-        masks = _ggasp_kernel(net)
+        by_type = _ggasp_kernel(net)
+        tindex = net.base.type_index()
         agents = net.agent_ids()
         acts = net.base.activities
         choices = (EMPTY_ACTIVITY,) + acts
         for picks in itertools.product(range(len(acts) + 1), repeat=len(agents)):
             sizes = [picks.count(ai + 1) for ai in range(len(acts))]
-            held = all((m >> s) & 1 for i, p in enumerate(picks)
-                       for m, s in zip(masks[i][p], sizes))
+            rows = [_and_masks(by_type[tindex[tid]], not p, [p - 1] if p else [])
+                    for (_, tid), p in zip(net.agents, picks)]
+            held = all((m >> s) & 1 for row in rows for m, s in zip(row, sizes))
             pi = AgentAssignment({ag: choices[p] for ag, p in zip(agents, picks)})
             report = verify_ggasp(net, pi)
             if report.stable:
